@@ -113,10 +113,10 @@ def cmd_detect(args) -> int:
 
 def cmd_ramsey(args) -> int:
     started = time.perf_counter()
-    outcome = decide_ramsey(args.k, args.r, args.n, budget=args.budget, threads=args.threads)
+    outcome = decide_ramsey(args.k, args.r, args.n, budget=args.budget)
     if outcome.verdict == VERDICT_FAILS and args.witness_out:
         Path(args.witness_out).write_text(serialize_coloring(outcome.witness), encoding="utf-8")
-    params = {"k": args.k, "r": args.r, "n": args.n, "budget": args.budget, "threads": args.threads}
+    params = {"k": args.k, "r": args.r, "n": args.n, "budget": args.budget}
     summary = (
         f"ramsey k={args.k} r={args.r} n={args.n}: {outcome.verdict}"
         f" (nodes={outcome.stats.nodes}, prunes={outcome.stats.prunes})"
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=0, help="max assignments, 0 = unlimited")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness-out", help="write the witness coloring here when the verdict is fails")
     add_json(p)
     p.set_defaults(func=cmd_ramsey)

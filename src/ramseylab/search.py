@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -111,20 +111,23 @@ def enumerate_loose_paths(
 
 def _pattern_index_tuples(
     edges: list[tuple[int, ...]], n: int, length: int
-) -> list[tuple[int, ...]]:
-    """Ordered index tuples of pattern copies, lex order, reversal-deduped."""
+) -> Iterator[tuple[int, ...]]:
+    """Ordered index tuples of pattern copies, lex order, reversal-deduped.
+
+    Yields lazily so that callers which fold the copies into a smaller
+    structure never hold every tuple at once.
+    """
     inc: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):
         for v in e:
             inc[v].append(i)
-    out: list[tuple[int, ...]] = []
     if length == 2:
         for i, e1 in enumerate(edges):
             s1 = set(e1)
             for j in sorted({j for v in e1 for j in inc[v] if j > i}):
                 if len(s1.intersection(edges[j])) == 1:
-                    out.append((i, j))
-        return out
+                    yield (i, j)
+        return
     for i, e1 in enumerate(edges):
         s1 = set(e1)
         for j in sorted({j for v in e1 for j in inc[v] if j != i}):
@@ -138,150 +141,96 @@ def _pattern_index_tuples(
                     continue
                 if s1.intersection(e3):
                     continue
-                out.append((i, j, t))
-    return out
+                yield (i, j, t)
 
 
-def _groups_by_last(
+def _closing_table(
     edges: list[tuple[int, ...]], n: int, length: int
-) -> list[list[tuple[int, ...]]]:
-    """For each edge index, the other indexes of every pattern copy it closes.
+) -> list[list[tuple[int, int]]]:
+    """For each edge d, the pairs (p, mask) with p <= d that close copies.
 
-    Indexing copies by their largest edge index lets the search engines test
-    exactly the new copies created by each assignment.
+    Once d and its partner p are both in one class, every edge whose bit is
+    set in mask would close a copy in that class.  A copy sorted as (a, b, x)
+    sets bit x in the mask of partner a of edge b; a length-2 copy (a, x)
+    sets bit x in the mask of edge a with itself as partner.  Duplicate
+    copies OR into the same bit, so the table needs no deduplication.
     """
-    by_last: list[list[tuple[int, ...]]] = [[] for _ in edges]
-    seen: set[tuple[int, ...]] = set()
+    close: list[dict[int, int]] = [{} for _ in edges]
     for tup in _pattern_index_tuples(edges, n, length):
-        key = tuple(sorted(tup))
-        if key in seen:
-            continue
-        seen.add(key)
-        by_last[key[-1]].append(key[:-1])
-    return by_last
+        key = sorted(tup)
+        row = close[key[-2]]
+        row[key[0]] = row.get(key[0], 0) | 1 << key[-1]
+    return [list(row.items()) for row in close]
 
 
-def _run_canonical_dfs(m, r, groups, budget, prefix=()):
+def _run_canonical_dfs(m, r, close, budget):
     """Backtracking over edges in lex order with color-symmetry breaking.
 
     An edge may take color c only if colors 1..c-1 already appear earlier
     (so each color class pattern-freeness is tested once per color orbit).
+    colors[d] is the color assigned or last tried at depth d.  threat[c]
+    holds the edges that would close a monochromatic copy in color c, and
+    saved[d] is threat[colors[d]] before edge d took its color.
     Returns (result, colors, nodes, prunes) where result is a verdict string
     and colors is the first completed assignment when the verdict is fails.
     """
     colors = [0] * m
     used = [0] * (m + 1)
-    trial = [0] * m
-    for i, c in enumerate(prefix):
-        colors[i] = c
-        used[i + 1] = c if c > used[i] else used[i]
-    base = len(prefix)
-    if base == m:
-        return VERDICT_FAILS, list(colors), 0, 0
-    d = base
+    threat = [0] * (r + 1)
+    saved = [0] * m
+    bits = [1 << d for d in range(m)]
+    d = 0
     nodes = prunes = 0
     while True:
         limit = used[d] + 1
         if limit > r:
             limit = r
-        c = trial[d] + 1
+        c = colors[d] + 1
         if c > limit:
-            trial[d] = 0
-            d -= 1
-            if d < base:
-                return VERDICT_HOLDS, None, nodes, prunes
             colors[d] = 0
+            d -= 1
+            if d < 0:
+                return VERDICT_HOLDS, None, nodes, prunes
+            threat[colors[d]] = saved[d]
             continue
-        trial[d] = c
+        colors[d] = c
         nodes += 1
         if budget and nodes > budget:
             return VERDICT_UNKNOWN, None, nodes, prunes
-        conflict = False
-        for others in groups[d]:
-            for j in others:
-                if colors[j] != c:
-                    break
-            else:
-                conflict = True
-                break
-        if conflict:
+        t = threat[c]
+        if t & bits[d]:
             prunes += 1
             continue
-        colors[d] = c
+        saved[d] = t
+        for p, mask in close[d]:
+            if colors[p] == c:
+                t |= mask
+        threat[c] = t
         used[d + 1] = c if c > used[d] else used[d]
         d += 1
         if d == m:
             return VERDICT_FAILS, list(colors), nodes, prunes
 
 
-def _canonical_prefixes(m, r, groups, depth):
-    """All conflict-free canonical colorings of the first `depth` edges."""
-    prefixes: list[tuple[int, ...]] = []
-    colors = [0] * depth
-
-    def rec(d, used):
-        if d == depth:
-            prefixes.append(tuple(colors))
-            return
-        for c in range(1, min(r, used + 1) + 1):
-            ok = True
-            for others in groups[d]:
-                if all(j < d and colors[j] == c for j in others):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            colors[d] = c
-            rec(d + 1, max(used, c))
-            colors[d] = 0
-
-    rec(0, 0)
-    return prefixes
-
-
-def decide_ramsey(k: int, r: int, n: int, budget: int = 0, threads: int = 1) -> SearchOutcome:
+def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     """Decide whether every r-coloring of K^(k)_n has a monochromatic loose 3-path.
 
-    Backtracks over edges in lexicographic order with color-symmetry breaking
-    and incremental path checks (only the copies closed by each new edge).
+    Backtracks over edges in lexicographic order with color-symmetry breaking.
+    Each color keeps a bitmask of the edges that would close a monochromatic
+    copy, so testing an assignment is one bit test; assigning an edge ORs in
+    its closing masks for the earlier partners of the same color.
     `budget` caps the number of attempted assignments (0 = unlimited);
-    exhausting it yields the verdict "unknown".  With threads > 1 and no
-    budget, the tree is partitioned by canonical color prefixes and subtree
-    results are merged in prefix order, so verdict and witness match the
-    single-threaded run.
+    exhausting it yields the verdict "unknown".
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
-    if budget < 0 or threads < 1:
-        raise ValueError(f"budget and threads must be nonnegative/positive")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
     m = len(edges)
-    groups = _groups_by_last(edges, n, 3)
-
-    if threads > 1 and budget == 0:
-        depth = 1
-        prefixes = _canonical_prefixes(m, r, groups, depth)
-        while depth < min(m, 10) and len(prefixes) < 2 * threads:
-            depth += 1
-            prefixes = _canonical_prefixes(m, r, groups, depth)
-        nodes = prunes = 0
-        outcome = None
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_canonical_dfs, m, r, groups, 0, prefix)
-                for prefix in prefixes
-            ]
-            for future in futures:
-                result, colors, sub_nodes, sub_prunes = future.result()
-                nodes += sub_nodes
-                prunes += sub_prunes
-                if result == VERDICT_FAILS and outcome is None:
-                    outcome = colors
-        verdict = VERDICT_FAILS if outcome is not None else VERDICT_HOLDS
-        colors = outcome
-    else:
-        verdict, colors, nodes, prunes = _run_canonical_dfs(m, r, groups, budget)
+    close = _closing_table(edges, n, 3)
+    verdict, colors, nodes, prunes = _run_canonical_dfs(m, r, close, budget)
 
     witness = None
     if verdict == VERDICT_FAILS:
@@ -377,8 +326,10 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
 
     Branch and bound over edge inclusion in lexicographic order, bounded by
     edges-remaining and primed with a known pattern-free construction.  The
-    status is `exact` once the tree is exhausted; a spent budget downgrades
-    it to `lower-bound-only` with the best witness found.
+    recursion carries a bitmask of the edges that would close a copy with the
+    selected ones, so the inclusion test is one bit test.  The status is
+    `exact` once the tree is exhausted; a spent budget downgrades it to
+    `lower-bound-only` with the best witness found.
     """
     length = _pattern_length(pattern)
     if k < 2 or n < k:
@@ -388,7 +339,7 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
     m = len(edges)
-    groups = _groups_by_last(edges, n, length)
+    close = _closing_table(edges, n, length)
 
     seed = _turan_seed(k, n, pattern, edges)
     best_count = len(seed)
@@ -397,7 +348,7 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     nodes = prunes = 0
     aborted = False
 
-    def rec(i: int, count: int):
+    def rec(i: int, count: int, threat: int):
         nonlocal best_count, best_sel, nodes, prunes, aborted
         if aborted:
             return
@@ -412,16 +363,17 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
             best_count = count
             best_sel = [j for j in range(m) if selected[j]]
             return
-        closes_pattern = any(
-            all(selected[j] for j in others) for others in groups[i]
-        )
-        if not closes_pattern:
+        if not threat >> i & 1:
             selected[i] = True
-            rec(i + 1, count + 1)
+            grown = threat
+            for p, mask in close[i]:
+                if selected[p]:
+                    grown |= mask
+            rec(i + 1, count + 1, grown)
             selected[i] = False
-        rec(i + 1, count)
+        rec(i + 1, count, threat)
 
-    rec(0, 0)
+    rec(0, 0, 0)
     extremal = Hypergraph(k, n, [edges[i] for i in best_sel])
     if find_loose_path(extremal, length) is not None:
         raise RuntimeError("search produced an extremal witness containing the pattern")

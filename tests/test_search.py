@@ -13,6 +13,7 @@ from ramseylab import (
     export_cnf,
     find_loose_path,
     find_mono_loose_path,
+    serialize_coloring,
     turan_max_edges,
 )
 
@@ -63,6 +64,16 @@ def test_enumerate_no_duplicates_and_valid():
 def test_enumerate_canonical_order():
     copies = enumerate_loose_paths(5, 2, 3)
     assert copies == sorted(copies)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_enumerate_counts_closed_form(k):
+    for n in range(k, 3 * k + 1):
+        paths3 = 0
+        if n >= 2 * k - 1:
+            paths3 = comb(n, k) * k * (k - 1) // 2 * comb(n - k, k - 1) * comb(n - 2 * k + 1, k - 1)
+        assert len(enumerate_loose_paths(n, k, 3)) == paths3
+        assert len(enumerate_loose_paths(n, k, 2)) == comb(n, k) * k * comb(n - k, k - 1) // 2
 
 
 def test_enumerate_empty_when_too_small():
@@ -119,14 +130,50 @@ def test_budget_exhaustion_is_unknown():
     assert outcome.stats.nodes >= 10
 
 
-def test_threads_match_single_threaded():
-    single = decide_ramsey(2, 2, 5)
-    multi = decide_ramsey(2, 2, 5, threads=3)
-    assert multi.verdict == single.verdict == "holds"
-    single = decide_ramsey(2, 2, 4)
-    multi = decide_ramsey(2, 2, 4, threads=3)
-    assert multi.verdict == "fails"
-    assert multi.witness == single.witness
+@pytest.mark.parametrize(
+    "k, r, n, budget, verdict, nodes, prunes",
+    [
+        (2, 3, 8, 0, "holds", 48453, 32300),
+        (2, 4, 8, 0, "fails", 1001377, 750990),
+        (3, 3, 9, 300000, "unknown", 300001, 199977),
+    ],
+)
+def test_decide_golden_tree(k, r, n, budget, verdict, nodes, prunes):
+    # The search must visit the same tree node for node, whatever the kernel.
+    outcome = decide_ramsey(k, r, n, budget=budget)
+    assert (outcome.verdict, outcome.stats.nodes, outcome.stats.prunes) == (verdict, nodes, prunes)
+
+
+def test_decide_golden_witness():
+    colors = "1122334134242434232411143321"
+    edges = list(itertools.combinations(range(8), 2))
+    expected = "2 8 28 4\n" + "".join(f"{a} {b} {c}\n" for (a, b), c in zip(edges, colors))
+    assert serialize_coloring(decide_ramsey(2, 4, 8).witness) == expected
+
+
+@pytest.mark.parametrize(
+    "k, n, pattern, budget, status, max_edges, nodes, prunes",
+    [
+        (3, 7, "loose-path-3", 0, "exact", 20, 1106290, 257642),
+        (2, 8, "loose-path-3", 0, "exact", 7, 78259, 14082),
+        (3, 8, "loose-path-3", 500000, "lower-bound-only", 21, 500001, 17162),
+        (3, 7, "loose-path-2", 0, "exact", 5, 10436, 956),
+    ],
+)
+def test_turan_golden_tree(k, n, pattern, budget, status, max_edges, nodes, prunes):
+    result = turan_max_edges(k, n, pattern, budget=budget)
+    assert (result.status, result.max_edges, result.stats.nodes, result.stats.prunes) == (
+        status,
+        max_edges,
+        nodes,
+        prunes,
+    )
+
+
+def test_turan_golden_extremal():
+    # The extremal 3-graph found on 7 vertices is the clique on {0..5}.
+    result = turan_max_edges(3, 7, "loose-path-3")
+    assert list(result.extremal.edges) == list(itertools.combinations(range(6), 3))
 
 
 def test_decide_validates_parameters():

@@ -203,7 +203,8 @@ def derandomized_split(
     |F| * (1/k) * ((k-1)/k)^(k-1).  The method of conditional expectations
     walks vertices in ascending order, placing each on the side whose exact
     conditional expectation is not smaller (ties to U2), so the final count
-    can never drop below the initial expectation.
+    can never drop below the initial expectation.  Items not touching v add
+    the same term to both sides, so only the items touching v are summed.
     """
     if k < 2:
         raise ValueError(f"uniformity must be at least 2, got {k}")
@@ -227,9 +228,14 @@ def derandomized_split(
     U1, U2 = 1, 2
     side: list[int | None] = [None] * n
 
-    def conditional_expectation() -> Fraction:
+    touching: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for f, v in items:
+        for u in (v, *f):
+            touching[u].append((f, v))
+
+    def conditional_expectation(subset) -> Fraction:
         total = Fraction(0)
-        for f, v in items:
+        for f, v in subset:
             sv = side[v]
             if sv == U2:
                 continue
@@ -248,9 +254,9 @@ def derandomized_split(
 
     for v in range(n):
         side[v] = U1
-        gain_u1 = conditional_expectation()
+        gain_u1 = conditional_expectation(touching[v])
         side[v] = U2
-        gain_u2 = conditional_expectation()
+        gain_u2 = conditional_expectation(touching[v])
         side[v] = U1 if gain_u1 > gain_u2 else U2
 
     u1 = tuple(v for v in range(n) if side[v] == U1)

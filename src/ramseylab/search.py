@@ -241,23 +241,31 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     return SearchOutcome(verdict, witness, stats)
 
 
-def _color_columns(base: int, count: int, m: int, r: int) -> np.ndarray:
-    """Colorings base..base+count-1 as an (m, count) array of 0-based colors.
+def _low_block(m: int, r: int) -> tuple[int, np.ndarray]:
+    """Prefix length m - L and the (L, r^L) colors of the last L edges.
 
-    Enumeration order is lexicographic with the first edge most significant,
-    matching ascending mixed-radix integers.
+    L is the largest count (at most m) with r^L <= _CHUNK.  Column j holds
+    the j-th low coloring in lexicographic order (0-based colors), so prefix
+    coloring p followed by column j is coloring p * r^L + j overall.
     """
-    idx = np.arange(base, base + count, dtype=np.int64)
-    cols = np.empty((m, count), dtype=np.uint8)
-    for j in range(m):
-        power = r ** (m - 1 - j)
-        cols[j] = (idx // power) % r
-    return cols
+    low = 0
+    while low < m and r ** (low + 1) <= _CHUNK:
+        low += 1
+    digits = np.arange(r, dtype=np.uint8)
+    cols = np.empty((low, r**low), dtype=np.uint8)
+    for j in range(low):
+        cols[j] = np.tile(np.repeat(digits, r ** (low - 1 - j)), r**j)
+    return m - low, cols
 
 
 def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     """Unpruned oracle: enumerate all r^C(n,k) colorings and test each one.
 
+    Colorings are visited in lexicographic order as prefix colorings of the
+    first edges times a block of low-edge columns built once.  Copies inside
+    the low block are folded into one mask up front; copies touching the
+    prefix are folded once per (prefix edges, color), and a prefix coloring
+    adds the masks whose prefix edges all take that color.
     Refuses instances with more than 10^8 colorings.  Kept deliberately
     independent of the backtracking engine so the two can cross-check.
     """
@@ -271,31 +279,42 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
         )
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
-    triples = [tuple(sorted(t)) for t in _pattern_index_tuples(edges, n, 3)]
+    h, cols = _low_block(m, r)
+    span = cols.shape[1]
+    bad_low = np.zeros(span, dtype=bool)
+    # closes[high, c]: the low colorings in which some copy with prefix edges
+    # `high` has all its low edges in color c (all of them if it has none).
+    closes: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+    for tup in _pattern_index_tuples(edges, n, 3):
+        high = tuple(sorted(e for e in tup if e < h))
+        low = [cols[e - h] for e in tup if e >= h]
+        if not high:
+            a, b, t = low
+            bad_low |= (a == b) & (b == t)
+            if bad_low.all():
+                break  # every coloring already has a copy inside the low block
+            continue
+        for c in range(r):
+            hit = np.ones(span, dtype=bool)
+            for row in low:
+                hit &= row == c
+            if (high, c) in closes:
+                closes[high, c] |= hit
+            else:
+                closes[high, c] = hit
 
     witness_colors = None
-    examined = 0
-    if r == 1:
-        examined = 1
-        if not triples:
-            witness_colors = [1] * m
-    else:
-        base = 0
-        while base < total:
-            count = int(min(_CHUNK, total - base))
-            cols = _color_columns(base, count, m, r)
-            bad = np.zeros(count, dtype=bool)
-            for a, b, c in triples:
-                bad |= (cols[a] == cols[b]) & (cols[b] == cols[c])
-            good = ~bad
-            if good.any():
-                pos = int(np.argmax(good))
-                witness_colors = [int(v) + 1 for v in cols[:, pos]]
-                examined = base + pos + 1
-                break
-            base += count
-        else:
-            examined = total
+    examined = total
+    for i, prefix in enumerate(itertools.product(range(r), repeat=h)):
+        bad = bad_low.copy()
+        for (high, c), mask in closes.items():
+            if all(prefix[e] == c for e in high):
+                bad |= mask
+        if not bad.all():
+            pos = int(np.argmin(bad))
+            witness_colors = [v + 1 for v in prefix] + [int(v) + 1 for v in cols[:, pos]]
+            examined = i * span + pos + 1
+            break
 
     witness = None
     if witness_colors is not None:
@@ -449,7 +468,11 @@ def cnf_satisfiable(instance: CnfInstance) -> bool:
     Only one-hot assignments (exactly the r^m edge colorings) need checking:
     the at-least-one clauses make every satisfying assignment project onto a
     coloring whose induced one-hot assignment still satisfies every clause.
-    Refuses instances with more than 10^8 colorings.
+    Colorings are factored as in `exhaustive_decide`.  Clauses inside the
+    low block are folded into one mask up front; clauses touching the prefix
+    are grouped by their prefix literals, and a prefix coloring that falsifies
+    a group's literals keeps only the low colorings satisfying the rest of
+    every clause in it.  Refuses instances with more than 10^8 colorings.
     """
     m = len(instance.edges)
     r = instance.r
@@ -458,30 +481,45 @@ def cnf_satisfiable(instance: CnfInstance) -> bool:
         raise InstanceTooLargeError(
             f"r^m = {total} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}"
         )
-    # All-negative clauses reject colorings fastest, so evaluate them first.
-    ordered = sorted(instance.clauses, key=lambda cl: any(lit > 0 for lit in cl))
-    info = {}
-    edge_index = {e: i for i, e in enumerate(instance.edges)}
-    for var in range(1, instance.num_vars + 1):
-        edge, color = instance.variable_info(var)
-        info[var] = (edge_index[edge], color)
-    base = 0
-    while base < total:
-        count = int(min(_CHUNK, total - base))
-        cols = _color_columns(base, count, m, r)
-        alive = np.ones(count, dtype=bool)
-        for clause in ordered:
-            sat = np.zeros(count, dtype=bool)
-            for lit in clause:
-                e, c = info[abs(lit)]
-                if lit > 0:
-                    sat |= cols[e] == c - 1
-                else:
-                    sat |= cols[e] != c - 1
-            alive &= sat
+    h, cols = _low_block(m, r)
+    span = cols.shape[1]
+    # Masks are filled in place: a fresh temporary of this size per literal
+    # would fault in new pages every time.
+    scratch, sat, alive = (np.empty(span, dtype=bool) for _ in range(3))
+
+    def satisfied(literals, out):
+        out.fill(False)
+        for row, c, positive in literals:
+            out |= (np.equal if positive else np.not_equal)(row, c, out=scratch)
+        return out
+
+    alive_low = np.ones(span, dtype=bool)
+    touching: dict[tuple[tuple[int, int, bool], ...], np.ndarray] = {}
+    for clause in instance.clauses:
+        high, low = [], []
+        for lit in clause:
+            e, c = divmod(abs(lit) - 1, r)
+            if e < h:
+                high.append((e, c, lit > 0))
+            else:
+                low.append((cols[e - h], c, lit > 0))
+        key = tuple(high)
+        if key in touching:
+            touching[key] &= satisfied(low, sat)
+        elif key:
+            touching[key] = satisfied(low, np.empty(span, dtype=bool))
+        else:
+            alive_low &= satisfied(low, sat)
+            if not alive_low.any():
+                return False
+    for prefix in itertools.product(range(r), repeat=h):
+        np.copyto(alive, alive_low)
+        for high, mask in touching.items():
+            if any((prefix[e] == c) == positive for e, c, positive in high):
+                continue
+            alive &= mask
             if not alive.any():
                 break
-        if alive.any():
+        else:
             return True
-        base += count
     return False

@@ -231,6 +231,47 @@ def test_split_exact_expectation_formula(rng):
         assert derandomized_split(items, n, k) == split
 
 
+def full_recompute_split(assignments, n, k):
+    """Reference method of conditional expectations: the whole sum, every step."""
+    items = [(tuple(sorted(f)), v) for f, v in assignments.items()]
+    p_u1, p_u2 = Fraction(1, k), Fraction(k - 1, k)
+    side = [None] * n
+
+    def conditional_expectation():
+        total = Fraction(0)
+        for f, v in items:
+            if side[v] == 2 or any(side[u] == 1 for u in f):
+                continue
+            term = p_u1 if side[v] is None else Fraction(1)
+            total += term * p_u2 ** sum(1 for u in f if side[u] is None)
+        return total
+
+    for v in range(n):
+        side[v] = 1
+        gain_u1 = conditional_expectation()
+        side[v] = 2
+        gain_u2 = conditional_expectation()
+        side[v] = 1 if gain_u1 > gain_u2 else 2
+    u1 = tuple(v for v in range(n) if side[v] == 1)
+    u2 = tuple(v for v in range(n) if side[v] == 2)
+    proper = sum(1 for f, v in items if side[v] == 1 and all(side[u] == 2 for u in f))
+    return u1, u2, proper
+
+
+def test_split_matches_full_recompute(rng):
+    # Summing only the items touching v must place every vertex as the
+    # full conditional expectation does.
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        n = rng.randint(k, 14)
+        items = {}
+        for _ in range(rng.randint(0, 30)):
+            f = tuple(sorted(rng.sample(range(n), k - 1)))
+            items[f] = rng.choice([v for v in range(n) if v not in f])
+        split = derandomized_split(items, n, k)
+        assert (split.u1, split.u2, split.proper_count) == full_recompute_split(items, n, k)
+
+
 def test_stability_full_star():
     report = stability_deficiency(full_star(10, 3, 0))
     assert report.vertex == 0 and report.deficiency == 0 and report.holds

@@ -4,6 +4,8 @@ from math import comb
 import pytest
 
 from ramseylab import (
+    CnfInstance,
+    Hypergraph,
     InstanceTooLargeError,
     cnf_satisfiable,
     complete_hypergraph,
@@ -16,6 +18,8 @@ from ramseylab import (
     serialize_coloring,
     turan_max_edges,
 )
+from ramseylab import search
+from conftest import oracle_has_loose_path
 
 
 def oracle_count_paths(n, k, length):
@@ -107,9 +111,90 @@ def test_oracle_equivalence_small():
         assert decide_ramsey(k, r, n).verdict == exhaustive_decide(k, r, n).verdict
 
 
+@pytest.mark.parametrize(
+    "k, r, n, verdict, nodes",
+    [
+        (2, 3, 6, "holds", 14348907),
+        (2, 2, 7, "holds", 2097152),
+        (2, 3, 5, "fails", 378),
+        (3, 2, 6, "fails", 1),
+    ],
+)
+def test_exhaustive_golden(k, r, n, verdict, nodes):
+    outcome = exhaustive_decide(k, r, n)
+    assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
+
+
+@pytest.mark.parametrize("k, r, n, colors", [(2, 3, 5, "1111222333"), (3, 2, 6, "1" * 20)])
+def test_exhaustive_golden_witness(k, r, n, colors):
+    edges = list(itertools.combinations(range(n), k))
+    expected = f"{k} {n} {len(edges)} {r}\n" + "".join(
+        " ".join(map(str, e)) + f" {c}\n" for e, c in zip(edges, colors)
+    )
+    assert serialize_coloring(exhaustive_decide(k, r, n).witness) == expected
+
+
+SMALL_ORACLE_INSTANCES = [
+    (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
+    (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 3, 5),
+    (3, 1, 7), (3, 1, 8), (3, 2, 5), (3, 2, 6),
+]
+
+
+def _oracle_answers(k, r, n):
+    outcome = exhaustive_decide(k, r, n)
+    witness = serialize_coloring(outcome.witness) if outcome.witness else None
+    return outcome.verdict, witness, outcome.stats.nodes, cnf_satisfiable(export_cnf(k, r, n))
+
+
+def test_oracles_independent_of_chunk(monkeypatch):
+    # A small chunk splits the colorings into many prefixes with a short low
+    # block; at (2,3,5) the witness then lies past the first block.
+    expected = {args: _oracle_answers(*args) for args in SMALL_ORACLE_INSTANCES}
+    monkeypatch.setattr(search, "_CHUNK", 16)
+    assert search._low_block(10, 3)[1].shape == (2, 9)
+    for args in SMALL_ORACLE_INSTANCES:
+        assert _oracle_answers(*args) == expected[args], args
+
+
+def brute_force_first_free(k, r, n):
+    """1-based position and colors of the first path-free coloring, by definition."""
+    edges = list(itertools.combinations(range(n), k))
+    colorings = itertools.product(range(1, r + 1), repeat=len(edges))
+    for pos, colors in enumerate(colorings, 1):
+        classes = [[e for e, c in zip(edges, colors) if c == color] for color in range(1, r + 1)]
+        if not any(oracle_has_loose_path(Hypergraph(k, n, cls), 3) for cls in classes):
+            return pos, dict(zip(edges, colors))
+    return r ** len(edges), None
+
+
+@pytest.mark.parametrize(
+    "k, r, n",
+    [
+        (2, 1, 3), (2, 1, 5), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 4, 4),
+        (3, 1, 7), (3, 2, 4), (3, 2, 5), (3, 3, 4), (4, 2, 5),
+    ],
+)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_exhaustive_matches_brute_force(monkeypatch, chunk, k, r, n):
+    # chunk 1 leaves the low block empty, so every triple and clause is
+    # resolved against the prefix alone.
+    assert r ** comb(n, k) <= 4096
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    pos, colors = brute_force_first_free(k, r, n)
+    outcome = exhaustive_decide(k, r, n)
+    assert outcome.stats.nodes == pos
+    assert outcome.verdict == ("holds" if colors is None else "fails")
+    assert (dict(outcome.witness.items()) if outcome.witness else None) == colors
+    assert cnf_satisfiable(export_cnf(k, r, n)) == (colors is not None)
+
+
 def test_exhaustive_guard():
     with pytest.raises(InstanceTooLargeError):
         exhaustive_decide(2, 2, 8)  # 2^28 colorings
+    with pytest.raises(InstanceTooLargeError):
+        exhaustive_decide(2, 3, 7)  # 3^21 colorings
 
 
 def test_monotonicity_in_n():
@@ -241,6 +326,29 @@ def test_cnf_satisfiability_matches_decide():
     for k, r, n in [(2, 2, 4), (2, 2, 5), (2, 1, 4), (2, 1, 3), (3, 2, 5)]:
         sat = cnf_satisfiable(export_cnf(k, r, n))
         assert sat == (decide_ramsey(k, r, n).verdict == "fails")
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 4])
+def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
+    # Random clause sets over K_4, about half of them satisfiable; the answer
+    # must match a one-hot brute force.
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    edges = tuple(itertools.combinations(range(4), 2))
+    for _ in range(150):
+        r = rng.randint(2, 3)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, len(edges) * r) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 24))
+        )
+        expected = any(
+            all(
+                any((colors[(abs(lit) - 1) // r] == (abs(lit) - 1) % r) == (lit > 0) for lit in clause)
+                for clause in clauses
+            )
+            for colors in itertools.product(range(r), repeat=len(edges))
+        )
+        assert cnf_satisfiable(CnfInstance(2, 4, r, edges, clauses, 0)) == expected, clauses
 
 
 def test_cnf_dimacs_format():

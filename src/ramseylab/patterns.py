@@ -42,9 +42,9 @@ def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
     """First loose path of the given length in canonical edge-tuple order.
 
     Returns None when the hypergraph contains no such path.  Two sound early
-    exits keep dense path-free hosts cheap for length 3: fewer than 3k-2
-    non-isolated vertices cannot carry the pattern, and in a star the two end
-    edges would both contain the center.
+    exits keep dense path-free hosts cheap for length 3: in a star the two
+    end edges would both contain the center, and the pattern is connected
+    and spans 3k-2 vertices, so it needs a connected component that large.
     """
     if length not in (2, 3):
         raise ValueError(f"length must be 2 or 3, got {length}")
@@ -65,14 +65,12 @@ def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
                     return LoosePathWitness((e1, edges[j]), (next(iter(shared)),))
         return None
 
-    if len(h.support()) < 3 * h.k - 2:
-        return None
-    common = set(edges[0])
-    for e in edges[1:]:
-        common.intersection_update(e)
-        if not common:
-            break
-    if common:
+    comp = {v: {v} for v in h.support()}  # connected components, merged per edge
+    for e in edges:
+        if any(comp[v] is not comp[e[0]] for v in e):
+            merged = set().union(*(comp[v] for v in e))
+            comp.update(dict.fromkeys(merged, merged))
+    if is_star(h) is not None or max(map(len, comp.values())) < 3 * h.k - 2:
         return None
 
     for i, e1 in enumerate(edges):

@@ -7,10 +7,10 @@ through the patterns module before returning it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -32,6 +32,7 @@ STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower-bound-only"
 
 EXHAUSTIVE_GUARD = 100_000_000
+INDEX_GUARD = 10**7
 _CHUNK = 1 << 20
 
 
@@ -97,70 +98,86 @@ def enumerate_loose_paths(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every copy of the loose path pattern in the complete k-graph, once each.
 
-    Copies are reversal-deduplicated (first edge below last edge) and listed
-    in lexicographic order of their ordered edge tuples.
+    Copies are reversal-deduplicated (first edge below last edge), listed in
+    lexicographic order of their ordered edge tuples and read off the cached
+    copy index; past INDEX_GUARD copies the call raises InstanceTooLargeError.
     """
     if n < 1 or k < 2:
         raise ValueError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
     if length not in (2, 3):
         raise ValueError(f"length must be 2 or 3, got {length}")
     edges = list(itertools.combinations(range(n), k))
-    index_tuples = _pattern_index_tuples(edges, n, length)
-    return [tuple(edges[i] for i in tup) for tup in index_tuples]
+    return list(zip(*([edges[i] for i in col.tolist()] for col in _loose_path_index(n, k, length).T)))
 
 
-def _pattern_index_tuples(
-    edges: list[tuple[int, ...]], n: int, length: int
-) -> Iterator[tuple[int, ...]]:
-    """Ordered index tuples of pattern copies, lex order, reversal-deduped.
+@functools.lru_cache(maxsize=4)
+def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
+    """Read-only (copies, length) edge ranks of every copy, as `enumerate_loose_paths` lists them.
 
-    Yields lazily so that callers which fold the copies into a smaller
-    structure never hold every tuple at once.
+    Built by construction: a middle edge, an ordered pair of link vertices in
+    it, then end edges through the links from disjoint (k-1)-sets outside it
+    (one end edge for length 2).  The closed-form count
+    C(n,k)·k(k-1)/2·C(n-k,k-1)·C(n-2k+1,k-1), or C(n,k)·k·C(n-k,k-1)/2 for
+    length 2, is checked before anything is allocated and against the rows.
     """
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            inc[v].append(i)
+    count = comb(n, k) * k * comb(max(n - k, 0), k - 1) // 2
+    if length == 3:
+        count *= (k - 1) * comb(max(n - 2 * k + 1, 0), k - 1)
+    if count > INDEX_GUARD:
+        raise InstanceTooLargeError(f"{count} loose-path copies exceed the index guard {INDEX_GUARD}")
+    m = comb(n, k)
+    dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32  # int16 sorts by radix
+    if not count:
+        return np.empty((0, length), dtype=dtype)
+    edges = list(itertools.combinations(range(n), k))
+    rest = np.array([sorted(set(range(n)).difference(e)) for e in edges])
+    local = np.array(list(itertools.combinations(range(n - k), k - 1)))
+    # ends[j, a, p]: rank of vertex a of edge j plus the p-th (k-1)-set outside j
+    ends = np.empty((m, k, len(local), k), dtype=np.intp)
+    ends[..., 0] = np.array(edges)[:, :, None]
+    ends[..., 1:] = rest[:, None, local]
+    ends.sort(axis=3)
+    lex = np.array([[comb(n - 1 - v, k - i) for v in range(n)] for i in range(k)])
+    ends = (m - 1 - lex[np.arange(k), ends].sum(axis=3)).astype(dtype)
     if length == 2:
-        for i, e1 in enumerate(edges):
-            s1 = set(e1)
-            for j in sorted({j for v in e1 for j in inc[v] if j > i}):
-                if len(s1.intersection(edges[j])) == 1:
-                    yield (i, j)
-        return
-    for i, e1 in enumerate(edges):
-        s1 = set(e1)
-        for j in sorted({j for v in e1 for j in inc[v] if j != i}):
-            e2 = edges[j]
-            if len(s1.intersection(e2)) != 1:
-                continue
-            s2 = set(e2)
-            for t in sorted({t for v in e2 for t in inc[v] if t > i and t != j}):
-                e3 = edges[t]
-                if len(s2.intersection(e3)) != 1:
-                    continue
-                if s1.intersection(e3):
-                    continue
-                yield (i, j, t)
+        mid = np.broadcast_to(np.arange(m, dtype=dtype)[:, None, None], ends.shape)
+        cols = (mid[mid < ends], ends[mid < ends])
+    else:
+        a, b = np.array(list(itertools.combinations(range(k), 2))).T
+        p, q = np.nonzero([[set(u).isdisjoint(w) for w in local.tolist()] for u in local.tolist()])
+        first, last = ends[:, a[:, None], p], ends[:, b[:, None], q]
+        mid = np.repeat(np.arange(m, dtype=dtype), first[0].size)
+        cols = (np.minimum(first, last).ravel(), mid, np.maximum(first, last).ravel())
+    index = np.stack(cols, axis=1)[np.lexsort(cols[::-1])]
+    assert len(index) == count
+    index.flags.writeable = False
+    return index
 
 
-def _closing_table(
-    edges: list[tuple[int, ...]], n: int, length: int
-) -> list[list[tuple[int, int]]]:
+def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     """For each edge d, the pairs (p, mask) with p <= d that close copies.
 
     Once d and its partner p are both in one class, every edge whose bit is
     set in mask would close a copy in that class.  A copy sorted as (a, b, x)
     sets bit x in the mask of partner a of edge b; a length-2 copy (a, x)
-    sets bit x in the mask of edge a with itself as partner.  Duplicate
-    copies OR into the same bit, so the table needs no deduplication.
+    sets bit x in the mask of edge a with itself as partner.  Index rows are
+    sorted into (a, b, x), grouped by (b, a) with one lexsort and their bits
+    ORed into 64-bit words; partners are listed in ascending order.
     """
-    close: list[dict[int, int]] = [{} for _ in edges]
-    for tup in _pattern_index_tuples(edges, n, length):
-        key = sorted(tup)
-        row = close[key[-2]]
-        row[key[0]] = row.get(key[0], 0) | 1 << key[-1]
-    return [list(row.items()) for row in close]
+    m = comb(n, k)
+    # A row (i, j, t), i < t, sorts to (a, b, x); a length-2 row (i, j) reads as (i, i, j).
+    i, j, t = _loose_path_index(n, k, length)[:, [0, length - 2, length - 1]].T
+    a, b, x = np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)
+    order = np.lexsort((a, b))
+    a, b, x = a[order], b[order], x[order]
+    new = np.diff(b.astype(np.int64) * m + a, prepend=-1) != 0
+    words = np.zeros((np.count_nonzero(new), (m + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(words, (np.cumsum(new) - 1, x // 64), np.uint64(1) << (x % 64).astype(np.uint64))
+    close: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    raw, size = words.tobytes(), words.shape[1] * 8
+    for g, (p, d) in enumerate(zip(a[new].tolist(), b[new].tolist())):
+        close[d].append((p, int.from_bytes(raw[g * size : (g + 1) * size], "little")))
+    return close
 
 
 def _run_canonical_dfs(m, r, close, budget):
@@ -229,7 +246,7 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
     m = len(edges)
-    close = _closing_table(edges, n, 3)
+    close = _closing_table(n, k, 3)
     verdict, colors, nodes, prunes = _run_canonical_dfs(m, r, close, budget)
 
     witness = None
@@ -285,7 +302,7 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     # closes[high, c]: the low colorings in which some copy with prefix edges
     # `high` has all its low edges in color c (all of them if it has none).
     closes: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-    for tup in _pattern_index_tuples(edges, n, 3):
+    for tup in zip(*(col.tolist() for col in _loose_path_index(n, k, 3).T)):
         high = tuple(sorted(e for e in tup if e < h))
         low = [cols[e - h] for e in tup if e >= h]
         if not high:
@@ -358,7 +375,7 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
     m = len(edges)
-    close = _closing_table(edges, n, length)
+    close = _closing_table(n, k, length)
 
     seed = _turan_seed(k, n, pattern, edges)
     best_count = len(seed)
@@ -452,11 +469,11 @@ def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
     edges = tuple(itertools.combinations(range(n), k))
-    triples = [tuple(sorted(t)) for t in _pattern_index_tuples(list(edges), n, 3)]
+    triples = np.sort(_loose_path_index(n, k, 3), axis=1)
     clauses: list[tuple[int, ...]] = []
     for i in range(len(edges)):
         clauses.append(tuple(i * r + c for c in range(1, r + 1)))
-    for a, b, t in triples:
+    for a, b, t in zip(*(col.tolist() for col in triples.T)):
         for c in range(1, r + 1):
             clauses.append((-(a * r + c), -(b * r + c), -(t * r + c)))
     return CnfInstance(k, n, r, edges, tuple(clauses), len(triples))

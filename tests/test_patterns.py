@@ -81,6 +81,32 @@ def test_soundness_exhaustive_tiny():
                 )
 
 
+def first_loose_path(h):
+    """Edges of the first ordered edge triple, lexicographically, forming a loose 3-path."""
+    for i, j, t in itertools.permutations(range(len(h.edges)), 3):
+        e1, e2, e3 = (set(h.edges[x]) for x in (i, j, t))
+        if len(e1 & e2) == 1 and len(e2 & e3) == 1 and not e1 & e3:
+            return tuple(h.edges[x] for x in (i, j, t))
+    return None
+
+
+def test_component_exit_against_oracle(rng):
+    # Disjoint unions of small random hosts: the support often reaches 3k-2
+    # vertices while no component does, which only the component exit sees.
+    for _ in range(150):
+        k = rng.randint(2, 3)
+        edges, n = [], 0
+        for _ in range(rng.randint(1, 3)):
+            part = random_hypergraph(rng, rng.randint(k, 3 * k - 1), k, density=rng.choice([0.2, 0.4, 0.7]))
+            edges += [tuple(v + n for v in e) for e in part.edges]
+            n += part.n
+        h = Hypergraph(k, n, edges)
+        witness = find_loose_path(h, 3)
+        assert (witness is not None) == oracle_has_loose_path(h, 3)
+        if witness is not None:
+            assert witness.verify(h) and witness.edges == first_loose_path(h)
+
+
 def test_determinism():
     h = complete_hypergraph(8, 3)
     assert find_loose_path(h, 3) == find_loose_path(h, 3)

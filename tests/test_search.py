@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -78,6 +79,85 @@ def test_enumerate_counts_closed_form(k):
             paths3 = comb(n, k) * k * (k - 1) // 2 * comb(n - k, k - 1) * comb(n - 2 * k + 1, k - 1)
         assert len(enumerate_loose_paths(n, k, 3)) == paths3
         assert len(enumerate_loose_paths(n, k, 2)) == comb(n, k) * k * comb(n - k, k - 1) // 2
+
+
+def reference_index_tuples(edges, n, length):
+    """Reference intersection-test walk: ordered index tuples, lex, reversal-deduped."""
+    inc = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v].append(i)
+    if length == 2:
+        for i, e1 in enumerate(edges):
+            s1 = set(e1)
+            for j in sorted({j for v in e1 for j in inc[v] if j > i}):
+                if len(s1.intersection(edges[j])) == 1:
+                    yield (i, j)
+        return
+    for i, e1 in enumerate(edges):
+        s1 = set(e1)
+        for j in sorted({j for v in e1 for j in inc[v] if j != i}):
+            e2 = edges[j]
+            if len(s1.intersection(e2)) != 1:
+                continue
+            s2 = set(e2)
+            for t in sorted({t for v in e2 for t in inc[v] if t > i and t != j}):
+                e3 = edges[t]
+                if len(s2.intersection(e3)) != 1:
+                    continue
+                if s1.intersection(e3):
+                    continue
+                yield (i, j, t)
+
+
+def reference_closing_rows(walk, m):
+    """Closing masks folded copy by copy from the walk, one dict per edge."""
+    close = [{} for _ in range(m)]
+    for tup in walk:
+        key = sorted(tup)
+        row = close[key[-2]]
+        row[key[0]] = row.get(key[0], 0) | 1 << key[-1]
+    return close
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_index_matches_reference_walk(k):
+    for n in range(k, 3 * k + 1):
+        edges = list(itertools.combinations(range(n), k))
+        for length in (2, 3):
+            walk = list(reference_index_tuples(edges, n, length))
+            expected = [tuple(edges[i] for i in tup) for tup in walk]
+            assert enumerate_loose_paths(n, k, length) == expected, (n, length)
+            table = search._closing_table(n, k, length)
+            assert [dict(row) for row in table] == reference_closing_rows(walk, len(edges)), (n, length)
+
+
+def test_export_cnf_matches_reference_walk():
+    k, r, n = 3, 2, 7
+    edges = tuple(itertools.combinations(range(n), k))
+    triples = [sorted(t) for t in reference_index_tuples(list(edges), n, 3)]
+    clauses = [tuple(i * r + c for c in range(1, r + 1)) for i in range(len(edges))]
+    clauses += [tuple(-(e * r + c) for e in t) for t in triples for c in range(1, r + 1)]
+    expected = CnfInstance(k, n, r, edges, tuple(clauses), len(triples)).to_dimacs()
+    assert export_cnf(k, r, n).to_dimacs() == expected
+
+
+def test_index_is_cached_and_read_only():
+    index = search._loose_path_index(7, 3, 3)
+    assert search._loose_path_index(7, 3, 3) is index
+    assert index.shape == (630, 3) and not index.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: decide_ramsey(3, 2, 20, budget=10), lambda: enumerate_loose_paths(20, 3, 3)],
+)
+def test_index_guard_fails_fast(call):
+    # 55.8M copies: the closed form refuses them before anything is built.
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_empty_when_too_small():
@@ -188,6 +268,45 @@ def test_exhaustive_matches_brute_force(monkeypatch, chunk, k, r, n):
     assert outcome.verdict == ("holds" if colors is None else "fails")
     assert (dict(outcome.witness.items()) if outcome.witness else None) == colors
     assert cnf_satisfiable(export_cnf(k, r, n)) == (colors is not None)
+
+
+def _subset_checker(rows, edges):
+    """Stand-in for find_mono_loose_path that knows only the given copies."""
+
+    def find(coloring, length):
+        for row in rows:
+            colors = {coloring.color_of(edges[i]) for i in row}
+            if len(colors) == 1:
+                return colors.pop(), row
+        return None
+
+    return find
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_exhaustive_on_copy_subsets(monkeypatch, rng, chunk):
+    # On complete hosts the first path-free coloring barely depends on the
+    # per-prefix masks; random subsets of the copies move it, so a dropped or
+    # misfiled mask changes the verdict, the witness or the count.
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    for k, r, n in [(2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 4, 4)]:
+        edges = list(itertools.combinations(range(n), k))
+        full = search._loose_path_index(n, k, 3)
+        for _ in range(25):
+            keep = sorted(rng.sample(range(len(full)), rng.randint(1, len(full))))
+            rows = full[keep]
+            monkeypatch.setattr(search, "_loose_path_index", lambda *args, rows=rows: rows)
+            monkeypatch.setattr(search, "find_mono_loose_path", _subset_checker(rows.tolist(), edges))
+            expected_pos, expected = r ** len(edges), None
+            for pos, colors in enumerate(itertools.product(range(1, r + 1), repeat=len(edges)), 1):
+                if all(len({colors[i] for i in row}) > 1 for row in rows.tolist()):
+                    expected_pos, expected = pos, dict(zip(edges, colors))
+                    break
+            outcome = exhaustive_decide(k, r, n)
+            assert outcome.verdict == ("holds" if expected is None else "fails")
+            assert (dict(outcome.witness.items()) if outcome.witness else None) == expected
+            assert outcome.stats.nodes == expected_pos
 
 
 def test_exhaustive_guard():

@@ -1,8 +1,8 @@
 """Outward-rounded rational intervals for the irrational root expressions.
 
 The only irrational quantity the proofs need is (b/(k-1))^(1/(k-2)).  Its
-enclosure comes from exact rational bisection: every step compares mid^(k-2)
-against the radicand with big-integer arithmetic, so the true value provably
+enclosure is the cell exact bisection of [0, max(1, q)] would end in, found
+in closed form by one big-integer m-th root, so the true value provably
 stays inside [lo, hi].  Perfect powers are detected first and returned as
 degenerate (exact) intervals.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 RationalLike = Fraction | int | str
 
@@ -51,23 +51,25 @@ def integer_nth_root(x: int, m: int) -> tuple[int, bool]:
         raise ValueError(f"root index must be at least 1, got {m}")
     if m == 1 or x in (0, 1):
         return x, True
-    lo = 0
-    hi = 1 << (x.bit_length() // m + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**m <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, lo**m == x
+    # Newton from above stays >= the floor root until it stalls.  Rooting the
+    # top half of the root's bits first starts it a few steps from the end;
+    # below 2m bits the root is at most 3.
+    half = x.bit_length() // m // 2
+    y = (integer_nth_root(x >> half * m, m)[0] + 1) << half if half else 4
+    while True:
+        z = ((m - 1) * y + x // y ** (m - 1)) // m
+        if z >= y:
+            return y, y**m == x
+        y = z
 
 
 def nth_root_interval(q: RationalLike, m: int, precision: RationalLike) -> Interval:
     """Enclose q**(1/m) for q >= 0 within the requested width.
 
     When q is a perfect m-th power of a rational the result is degenerate and
-    exact.  Otherwise deterministic bisection from the bracket [0, max(1, q)]
-    maintains lo^m <= q <= hi^m at every step, so narrowing the precision
+    exact.  Otherwise the result has the same endpoints as bisecting the
+    bracket [0, max(1, q)] down to the precision: the dyadic cell holding the
+    root, with lo^m < q < hi^m.  Those cells nest, so narrowing the precision
     only ever nests the interval.
     """
     q = Fraction(q)
@@ -85,15 +87,13 @@ def nth_root_interval(q: RationalLike, m: int, precision: RationalLike) -> Inter
     if exact_num and exact_den:
         root = Fraction(root_num, root_den)
         return Interval(root, root)
-    lo = Fraction(0)
-    hi = max(Fraction(1), q)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if mid**m <= q:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
+    top = max(Fraction(1), q)
+    steps = (ceil(top / precision) - 1).bit_length()
+    # The root is irrational, so the dyadic cell of [0, top] holding it is
+    # cell L with L = floor(root * 2^steps / top).
+    num = q.numerator * top.denominator**m << steps * m
+    cell, _ = integer_nth_root(num // (q.denominator * top.numerator**m), m)
+    return Interval(cell * top / 2**steps, (cell + 1) * top / 2**steps)
 
 
 def star_deficiency_bound(
@@ -126,7 +126,7 @@ def star_deficiency_bound(
         root = nth_root_interval(q, k - 2, eps)
         lo = (1 - root.hi) ** (k - 1) * scale
         hi = (1 - root.lo) ** (k - 1) * scale
-        if hi - lo <= precision:
+        if hi <= lo + precision:  # hi - lo would take a gcd of huge denominators
             return Interval(lo, hi)
         eps /= 2
 

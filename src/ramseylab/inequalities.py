@@ -30,7 +30,7 @@ class IneqRecord:
     relation: str  # "<", ">", or ">=" read as: lhs RELATION rhs
     lhs: Fraction
     rhs: Fraction
-    holds: bool | None  # None would mean undecided; all current items are exact
+    holds: bool
     asymptotic: bool = False
 
     @property
@@ -41,11 +41,10 @@ class IneqRecord:
         return self.lhs - self.rhs
 
     def to_json_obj(self) -> dict:
-        verdict = "undecided" if self.holds is None else ("yes" if self.holds else "no")
         return {
             "name": self.name,
             "params": dict(self.params),
-            "holds": verdict,
+            "holds": "yes" if self.holds else "no",
             "certificate_lo": str(self.margin),
             "certificate_hi": str(self.margin),
             "asymptotic_flag": self.asymptotic,

@@ -11,6 +11,7 @@ from ramseylab import (
     nth_root_interval,
     star_deficiency_bound,
 )
+from ramseylab import exact
 
 PRECISION = Fraction(1, 10**6)
 
@@ -23,6 +24,8 @@ def test_integer_nth_root():
     assert integer_nth_root(10**30, 10) == (1000, True)
     with pytest.raises(ValueError):
         integer_nth_root(-1, 2)
+    with pytest.raises(ValueError):
+        integer_nth_root(4, 0)
 
 
 def test_interval_ordering():
@@ -131,3 +134,99 @@ def test_composite_monotone_consistency():
         if prev is not None:
             assert iv.hi <= prev.hi + PRECISION
         prev = iv
+
+
+def reference_integer_nth_root(x, m):
+    """Reference bit-by-bit bisection for the floor root and its exactness."""
+    if m == 1 or x in (0, 1):
+        return x, True
+    lo = 0
+    hi = 1 << (x.bit_length() // m + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**m <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, lo**m == x
+
+
+def reference_nth_root_interval(q, m, precision):
+    """Reference rational bisection of [0, max(1, q)] down to the precision."""
+    q = Fraction(q)
+    precision = Fraction(precision)
+    if m == 1:
+        return Interval(q, q)
+    root_num, exact_num = reference_integer_nth_root(q.numerator, m)
+    root_den, exact_den = reference_integer_nth_root(q.denominator, m)
+    if exact_num and exact_den:
+        root = Fraction(root_num, root_den)
+        return Interval(root, root)
+    lo = Fraction(0)
+    hi = max(Fraction(1), q)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if mid**m <= q:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
+
+
+def test_integer_nth_root_matches_reference(rng):
+    for _ in range(300):
+        m = rng.randint(1, 40)
+        y = rng.getrandbits(rng.randint(1, 200))
+        for x in (y**m - 1, y**m, y**m + 1):
+            if x >= 0:
+                assert integer_nth_root(x, m) == reference_integer_nth_root(x, m), (x, m)
+
+
+def random_root_case(rng):
+    shape = rng.randrange(6)
+    m = 1 if shape == 0 else rng.randint(2, 24)
+    if shape == 1:
+        q = Fraction(0)
+    elif shape == 2:  # q > 1, so the bracket is [0, q]
+        q = Fraction(rng.randint(2, 10**9), rng.randint(1, 1000)) + 1
+    elif shape == 3:  # a perfect m-th power of a rational
+        q = Fraction(rng.randint(0, 10**4), rng.randint(1, 10**4)) ** m
+    else:
+        q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9))
+    # down to 10^-30, and up to 10^3 so the bracket may need no step at all
+    precision = Fraction(rng.randint(1, 999)) / Fraction(10) ** rng.randint(-2, 30)
+    return q, m, precision
+
+
+def test_nth_root_interval_matches_reference(rng):
+    for _ in range(1200):
+        q, m, precision = random_root_case(rng)
+        assert nth_root_interval(q, m, precision) == reference_nth_root_interval(q, m, precision), (
+            q, m, precision,
+        )
+
+
+@pytest.mark.parametrize(
+    "b, k, n",
+    [(Fraction(7, 10), 60, 300), (Fraction(1, 2), 250, 1000)],
+    ids=["k60-n300", "benchmark"],
+)
+def test_bounds_match_reference_roots(monkeypatch, b, k, n):
+    precision = Fraction(1, 10**6)
+    fast = star_deficiency_bound(b, k, n, precision), link_support_lower_bound(b, k, n, precision)
+    monkeypatch.setattr(exact, "nth_root_interval", reference_nth_root_interval)
+    slow = star_deficiency_bound(b, k, n, precision), link_support_lower_bound(b, k, n, precision)
+    assert fast == slow
+
+
+def test_star_deficiency_large_n():
+    # Bisection needed about 46 s here; its deficiency must agree with the
+    # one derived from the link-support interval of the same root.
+    b, k, n, precision = Fraction(1, 2), 250, 10**6, Fraction(1, 10**6)
+    deficiency = star_deficiency_bound(b, k, n, precision)
+    support = link_support_lower_bound(b, k, n, precision)
+    assert deficiency.width <= precision and support.width <= precision
+    x_lo, x_hi = support.lo / (n - 1), support.hi / (n - 1)
+    scale = comb(n - 1, k - 1)
+    derived = Interval((1 - x_hi) ** (k - 1) * scale, (1 - x_lo) ** (k - 1) * scale)
+    assert derived.lo <= deficiency.hi and deficiency.lo <= derived.hi

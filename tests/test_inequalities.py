@@ -72,7 +72,7 @@ def test_json_schema():
         set(o) == {"name", "params", "holds", "certificate_lo", "certificate_hi", "asymptotic_flag"}
         for o in objs
     )
-    assert all(o["holds"] in ("yes", "no", "undecided") for o in objs)
+    assert all(o["holds"] in ("yes", "no") for o in objs)
     # certificates reparse as exact fractions
     for o in objs:
         Fraction(o["certificate_lo"])

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import itertools
 import time
 from math import comb
@@ -81,33 +83,32 @@ def test_enumerate_counts_closed_form(k):
         assert len(enumerate_loose_paths(n, k, 2)) == comb(n, k) * k * comb(n - k, k - 1) // 2
 
 
-def reference_index_tuples(edges, n, length):
+@functools.lru_cache(maxsize=1)
+def one_vertex_neighbours(edges):
+    """Vertex bitmask per edge, and per edge the sorted edges meeting it in one vertex."""
+    masks = [sum(1 << v for v in e) for e in edges]
+    neighbours = [[] for _ in edges]
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            common = a & masks[j]
+            if common and not common & (common - 1):
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+    return masks, neighbours
+
+
+def reference_index_tuples(edges, length):
     """Reference intersection-test walk: ordered index tuples, lex, reversal-deduped."""
-    inc = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            inc[v].append(i)
-    if length == 2:
-        for i, e1 in enumerate(edges):
-            s1 = set(e1)
-            for j in sorted({j for v in e1 for j in inc[v] if j > i}):
-                if len(s1.intersection(edges[j])) == 1:
-                    yield (i, j)
-        return
-    for i, e1 in enumerate(edges):
-        s1 = set(e1)
-        for j in sorted({j for v in e1 for j in inc[v] if j != i}):
-            e2 = edges[j]
-            if len(s1.intersection(e2)) != 1:
-                continue
-            s2 = set(e2)
-            for t in sorted({t for v in e2 for t in inc[v] if t > i and t != j}):
-                e3 = edges[t]
-                if len(s2.intersection(e3)) != 1:
-                    continue
-                if s1.intersection(e3):
-                    continue
-                yield (i, j, t)
+    masks, neighbours = one_vertex_neighbours(tuple(edges))
+    for i, near in enumerate(neighbours):
+        if length == 2:
+            yield from ((i, j) for j in near if j > i)
+            continue
+        for j in near:
+            far = neighbours[j]
+            for t in far[bisect.bisect_right(far, i):]:
+                if not masks[i] & masks[t]:
+                    yield (i, j, t)
 
 
 def reference_closing_rows(walk, m):
@@ -125,7 +126,7 @@ def test_index_matches_reference_walk(k):
     for n in range(k, 3 * k + 1):
         edges = list(itertools.combinations(range(n), k))
         for length in (2, 3):
-            walk = list(reference_index_tuples(edges, n, length))
+            walk = list(reference_index_tuples(edges, length))
             expected = [tuple(edges[i] for i in tup) for tup in walk]
             assert enumerate_loose_paths(n, k, length) == expected, (n, length)
             table = search._closing_table(n, k, length)
@@ -135,7 +136,7 @@ def test_index_matches_reference_walk(k):
 def test_export_cnf_matches_reference_walk():
     k, r, n = 3, 2, 7
     edges = tuple(itertools.combinations(range(n), k))
-    triples = [sorted(t) for t in reference_index_tuples(list(edges), n, 3)]
+    triples = [sorted(t) for t in reference_index_tuples(edges, 3)]
     clauses = [tuple(i * r + c for c in range(1, r + 1)) for i in range(len(edges))]
     clauses += [tuple(-(e * r + c) for e in t) for t in triples for c in range(1, r + 1)]
     expected = CnfInstance(k, n, r, edges, tuple(clauses), len(triples)).to_dimacs()

@@ -119,7 +119,8 @@ def cmd_ramsey(args) -> int:
     params = {"k": args.k, "r": args.r, "n": args.n, "budget": args.budget}
     summary = (
         f"ramsey k={args.k} r={args.r} n={args.n}: {outcome.verdict}"
-        f" (nodes={outcome.stats.nodes}, prunes={outcome.stats.prunes})"
+        f" (nodes={outcome.stats.nodes}, prunes={outcome.stats.prunes},"
+        f" max_depth={outcome.stats.max_depth})"
     )
     _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary)
     if outcome.verdict == VERDICT_HOLDS:

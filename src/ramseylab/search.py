@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass
 from math import comb
@@ -41,6 +42,7 @@ class SearchStats:
     nodes: int
     prunes: int
     seconds: float
+    max_depth: int = 0  # deepest edge index the Ramsey DFS reached; 0 for the other engines
 
 
 @dataclass(frozen=True)
@@ -136,9 +138,7 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
     ends = np.empty((m, k, len(local), k), dtype=np.intp)
     ends[..., 0] = np.array(edges)[:, :, None]
     ends[..., 1:] = rest[:, None, local]
-    ends.sort(axis=3)
-    lex = np.array([[comb(n - 1 - v, k - i) for v in range(n)] for i in range(k)])
-    ends = (m - 1 - lex[np.arange(k), ends].sum(axis=3)).astype(dtype)
+    ends = _edge_ranks(n, k, ends).astype(dtype)
     if length == 2:
         mid = np.broadcast_to(np.arange(m, dtype=dtype)[:, None, None], ends.shape)
         cols = (mid[mid < ends], ends[mid < ends])
@@ -152,6 +152,22 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
     assert len(index) == count
     index.flags.writeable = False
     return index
+
+
+def _edge_ranks(n: int, k: int, vertices: np.ndarray) -> np.ndarray:
+    """Lex ranks of the k-sets along the last axis: C(n,k)-1-Σ C(n-1-v_i, k-i), v sorted."""
+    lex = np.array([[comb(n - 1 - v, k - i) for v in range(n)] for i in range(k)])
+    return comb(n, k) - 1 - lex[np.arange(k), np.sort(vertices, axis=-1)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _vertex_swaps(n: int, k: int) -> np.ndarray:
+    """Read-only (n-1, C(n,k)) table: row i maps each edge rank to its image's under (i i+1)."""
+    edges = np.array(list(itertools.combinations(range(n), k)))
+    i = np.arange(n - 1)[:, None, None]
+    swaps = _edge_ranks(n, k, edges + (edges == i) - (edges == i + 1))
+    swaps.flags.writeable = False
+    return swaps
 
 
 def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
@@ -180,24 +196,53 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     return close
 
 
-def _run_canonical_dfs(m, r, close, budget):
-    """Backtracking over edges in lex order with color-symmetry breaking.
+def _run_canonical_dfs(m, r, close, swaps, budget):
+    """Backtracking over edges in lex order for the lex-least good coloring.
 
-    An edge may take color c only if colors 1..c-1 already appear earlier
-    (so each color class pattern-freeness is tested once per color orbit).
     colors[d] is the color assigned or last tried at depth d.  threat[c]
     holds the edges that would close a monochromatic copy in color c, and
-    saved[d] is threat[colors[d]] before edge d took its color.
-    Returns (result, colors, nodes, prunes) where result is a verdict string
-    and colors is the first completed assignment when the verdict is fails.
+    saved[d] is threat[colors[d]] before edge d took its color.  Edge d may
+    take color c only if colors 1..c-1 appear before it; forward checking
+    prunes once all r colors are in use and a later edge is in every threat
+    mask; the lex-leader test prunes when the image under a vertex swap s
+    (position j colored colors[s[j]], renamed by first occurrence) is
+    lex-smaller.  A swap equal up to position j waits in waiting[e] as
+    (s, j, renaming) until edge e = s[j] is colored (if s[j] < j, comparing
+    position s[j] needed edge j); trail[d] lists the waits added at depth d.
+    Returns (result, colors, nodes, prunes, max_depth), colors set on fails.
     """
     colors = [0] * m
     used = [0] * (m + 1)
     threat = [0] * (r + 1)
     saved = [0] * m
     bits = [1 << d for d in range(m)]
-    d = 0
-    nodes = prunes = 0
+    waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the coloring equals
+    for s in swaps:
+        waiting[s[0]].append((s + [m], 0, (0,) * (r + 1)))
+    trail = [[] for _ in range(m)]
+    d = nodes = prunes = deepest = 0
+
+    def advance(d):
+        """Compare on the swaps waiting on edge d; False if an image is smaller."""
+        for s, j, name in waiting[d]:
+            while True:
+                x = colors[s[j]]
+                a = name[x]
+                if not a:  # a new image color takes the next name
+                    a = used[j] + 1
+                    name = name[:x] + (a,) + name[x + 1 :]
+                if a != colors[j]:
+                    if a < colors[j]:
+                        return False
+                    break
+                j += 1
+                e = s[j]
+                if e > d:
+                    waiting[e].append((s, j, name))
+                    trail[d].append(e)
+                    break
+        return True
+
     while True:
         limit = used[d] + 1
         if limit > r:
@@ -205,15 +250,19 @@ def _run_canonical_dfs(m, r, close, budget):
         c = colors[d] + 1
         if c > limit:
             colors[d] = 0
+            if d > deepest:
+                deepest = d
             d -= 1
             if d < 0:
-                return VERDICT_HOLDS, None, nodes, prunes
+                return VERDICT_HOLDS, None, nodes, prunes, deepest
             threat[colors[d]] = saved[d]
+            while trail[d]:
+                waiting[trail[d].pop()].pop()
             continue
         colors[d] = c
         nodes += 1
         if budget and nodes > budget:
-            return VERDICT_UNKNOWN, None, nodes, prunes
+            return VERDICT_UNKNOWN, None, nodes, prunes, max(deepest, d)
         t = threat[c]
         if t & bits[d]:
             prunes += 1
@@ -223,10 +272,18 @@ def _run_canonical_dfs(m, r, close, budget):
             if colors[p] == c:
                 t |= mask
         threat[c] = t
-        used[d + 1] = c if c > used[d] else used[d]
+        u = used[d + 1] = c if c > used[d] else used[d]
+        # Shallower depths ruled a wiped-out edge out for the old masks.
+        wiped = u == r and t != saved[d] and functools.reduce(operator.and_, threat[1:]) >> d + 1
+        if wiped or waiting[d] and not advance(d):
+            prunes += 1
+            threat[c] = saved[d]
+            while trail[d]:
+                waiting[trail[d].pop()].pop()
+            continue
         d += 1
         if d == m:
-            return VERDICT_FAILS, list(colors), nodes, prunes
+            return VERDICT_FAILS, list(colors), nodes, prunes, m - 1
 
 
 def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
@@ -235,9 +292,11 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     Backtracks over edges in lexicographic order with color-symmetry breaking.
     Each color keeps a bitmask of the edges that would close a monochromatic
     copy, so testing an assignment is one bit test; assigning an edge ORs in
-    its closing masks for the earlier partners of the same color.
-    `budget` caps the number of attempted assignments (0 = unlimited);
-    exhausting it yields the verdict "unknown".
+    its closing masks for the earlier partners of the same color.  Forward
+    checking and lex-leader breaking of the vertex swaps (i i+1) prune
+    further without changing the verdict or the witness, the lex-least good
+    coloring.  `budget` caps the number of attempted assignments (0 =
+    unlimited); exhausting it yields the verdict "unknown".
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
@@ -245,16 +304,16 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
-    m = len(edges)
     close = _closing_table(n, k, 3)
-    verdict, colors, nodes, prunes = _run_canonical_dfs(m, r, close, budget)
+    swaps = _vertex_swaps(n, k).tolist()
+    verdict, colors, nodes, prunes, depth = _run_canonical_dfs(len(edges), r, close, swaps, budget)
 
     witness = None
     if verdict == VERDICT_FAILS:
         witness = Coloring(k, n, r, {e: c for e, c in zip(edges, colors)})
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("search produced an invalid witness coloring")
-    stats = SearchStats(nodes, prunes, time.perf_counter() - start)
+    stats = SearchStats(nodes, prunes, time.perf_counter() - start, depth)
     return SearchOutcome(verdict, witness, stats)
 
 

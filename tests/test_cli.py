@@ -35,6 +35,12 @@ def test_ramsey_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_ramsey_summary_reports_depth(capsys):
+    code, out, _ = run(capsys, "ramsey", "--k", "3", "--r", "3", "--n", "9", "--budget", "1000")
+    assert code == 2
+    assert out.strip() == "ramsey k=3 r=3 n=9: unknown (nodes=1001, prunes=647, max_depth=54)"
+
+
 def test_ramsey_json_payload_reproducible(capsys):
     code, out1, _ = run(capsys, "ramsey", "--k", "2", "--r", "2", "--n", "5", "--json")
     assert code == 0

@@ -1,13 +1,16 @@
 import bisect
 import functools
 import itertools
+import operator
 import time
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ramseylab import (
     CnfInstance,
+    Coloring,
     Hypergraph,
     InstanceTooLargeError,
     cnf_satisfiable,
@@ -22,7 +25,9 @@ from ramseylab import (
     turan_max_edges,
 )
 from ramseylab import search
+from ramseylab.search import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_UNKNOWN
 from conftest import oracle_has_loose_path
+from test_acceptance import ORACLE_INSTANCES
 
 
 def oracle_count_paths(n, k, length):
@@ -141,6 +146,23 @@ def test_export_cnf_matches_reference_walk():
     clauses += [tuple(-(e * r + c) for e in t) for t in triples for c in range(1, r + 1)]
     expected = CnfInstance(k, n, r, edges, tuple(clauses), len(triples)).to_dimacs()
     assert export_cnf(k, r, n).to_dimacs() == expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_vertex_swaps(k):
+    for n in range(k, 3 * k + 1):
+        edges = list(itertools.combinations(range(n), k))
+        rank = {e: i for i, e in enumerate(edges)}
+        swaps = search._vertex_swaps(n, k)
+        assert search._vertex_swaps(n, k) is swaps
+        assert swaps.shape == (n - 1, len(edges)) and not swaps.flags.writeable
+        for i, row in enumerate(swaps.tolist()):
+            image = {i: i + 1, i + 1: i}
+            assert row == [rank[tuple(sorted(image.get(v, v) for v in e))] for e in edges], (n, i)
+            assert [row[x] for x in row] == list(range(len(edges))), (n, i)
+            for e, x in zip(edges, row):
+                if (i in e) == (i + 1 in e):
+                    assert x == rank[e], (n, i, e)
 
 
 def test_index_is_cached_and_read_only():
@@ -335,6 +357,65 @@ def test_budget_exhaustion_is_unknown():
     assert outcome.stats.nodes >= 10
 
 
+def reference_canonical_dfs(m, r, close, budget):
+    """Backtracking over edges in lex order with color-symmetry breaking.
+
+    An edge may take color c only if colors 1..c-1 already appear earlier
+    (so each color class pattern-freeness is tested once per color orbit).
+    colors[d] is the color assigned or last tried at depth d.  threat[c]
+    holds the edges that would close a monochromatic copy in color c, and
+    saved[d] is threat[colors[d]] before edge d took its color.
+    Returns (result, colors, nodes, prunes) where result is a verdict string
+    and colors is the first completed assignment when the verdict is fails.
+    """
+    colors = [0] * m
+    used = [0] * (m + 1)
+    threat = [0] * (r + 1)
+    saved = [0] * m
+    bits = [1 << d for d in range(m)]
+    d = 0
+    nodes = prunes = 0
+    while True:
+        limit = used[d] + 1
+        if limit > r:
+            limit = r
+        c = colors[d] + 1
+        if c > limit:
+            colors[d] = 0
+            d -= 1
+            if d < 0:
+                return VERDICT_HOLDS, None, nodes, prunes
+            threat[colors[d]] = saved[d]
+            continue
+        colors[d] = c
+        nodes += 1
+        if budget and nodes > budget:
+            return VERDICT_UNKNOWN, None, nodes, prunes
+        t = threat[c]
+        if t & bits[d]:
+            prunes += 1
+            continue
+        saved[d] = t
+        for p, mask in close[d]:
+            if colors[p] == c:
+                t |= mask
+        threat[c] = t
+        used[d + 1] = c if c > used[d] else used[d]
+        d += 1
+        if d == m:
+            return VERDICT_FAILS, list(colors), nodes, prunes
+
+
+def reference_decide(k, r, n, budget=0):
+    """(verdict, nodes, prunes, serialized witness) of the color-precedence-only engine."""
+    edges = list(itertools.combinations(range(n), k))
+    verdict, colors, nodes, prunes = reference_canonical_dfs(
+        len(edges), r, search._closing_table(n, k, 3), budget
+    )
+    witness = serialize_coloring(Coloring(k, n, r, dict(zip(edges, colors)))) if colors else None
+    return verdict, nodes, prunes, witness
+
+
 @pytest.mark.parametrize(
     "k, r, n, budget, verdict, nodes, prunes",
     [
@@ -345,8 +426,24 @@ def test_budget_exhaustion_is_unknown():
 )
 def test_decide_golden_tree(k, r, n, budget, verdict, nodes, prunes):
     # The search must visit the same tree node for node, whatever the kernel.
+    assert reference_decide(k, r, n, budget=budget)[:3] == (verdict, nodes, prunes)
+
+
+@pytest.mark.parametrize(
+    "k, r, n, budget, verdict, nodes, prunes, max_depth",
+    [
+        (2, 3, 8, 0, "holds", 405, 268, 14),
+        (2, 4, 8, 0, "fails", 10249, 7665, 27),
+        (3, 3, 9, 300000, "unknown", 300001, 199980, 54),
+        (3, 2, 8, 0, "holds", 407, 204, 26),
+        (2, 4, 9, 0, "fails", 22398, 16770, 35),
+    ],
+)
+def test_decide_pruned_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_depth):
     outcome = decide_ramsey(k, r, n, budget=budget)
-    assert (outcome.verdict, outcome.stats.nodes, outcome.stats.prunes) == (verdict, nodes, prunes)
+    stats = outcome.stats
+    tree = (outcome.verdict, stats.nodes, stats.prunes, stats.max_depth)
+    assert tree == (verdict, nodes, prunes, max_depth)
 
 
 def test_decide_golden_witness():
@@ -354,6 +451,124 @@ def test_decide_golden_witness():
     edges = list(itertools.combinations(range(8), 2))
     expected = "2 8 28 4\n" + "".join(f"{a} {b} {c}\n" for (a, b), c in zip(edges, colors))
     assert serialize_coloring(decide_ramsey(2, 4, 8).witness) == expected
+
+
+def test_decide_golden_witness_n9():
+    # The reference engine's witness; it takes about 5 s to recompute.
+    colors = "112233441342423434232241131431321124"
+    edges = list(itertools.combinations(range(9), 2))
+    expected = "2 9 36 4\n" + "".join(f"{a} {b} {c}\n" for (a, b), c in zip(edges, colors))
+    assert serialize_coloring(decide_ramsey(2, 4, 9).witness) == expected
+
+
+# The golden rows the reference finishes in seconds, acceptance criteria 1
+# and 2, and the oracle instances of criterion 6.
+REFERENCE_CASES = sorted(
+    {(2, 3, 8, 0), (2, 4, 8, 0), (3, 3, 9, 300000), (2, 2, 4, 0), (2, 2, 5, 0)}
+    | {(2, 3, n, 0) for n in (5, 6, 7)}
+    | {(k, r, n, 0) for k, r, n in ORACLE_INSTANCES}
+)
+
+
+@pytest.mark.parametrize("k, r, n, budget", REFERENCE_CASES)
+def test_decide_matches_reference(k, r, n, budget):
+    outcome = decide_ramsey(k, r, n, budget=budget)
+    witness = serialize_coloring(outcome.witness) if outcome.witness else None
+    verdict, nodes, _, expected = reference_decide(k, r, n, budget)
+    assert (outcome.verdict, witness) == (verdict, expected)
+    assert outcome.stats.nodes <= nodes
+
+
+def naive_pruned_search(k, r, n):
+    """(verdict, nodes, prunes, witness colors) of the pruned search, rescanning at every node.
+
+    A color attempt at edge d is pruned when edge d closes a monochromatic
+    copy, when all r colors are in use and a later edge would close one in
+    every color, or when the image of the colored prefix under a swap of
+    adjacent vertices, colors renamed by first occurrence, is lex-smaller
+    up to the first position it leaves undecided.
+    """
+    edges = list(itertools.combinations(range(n), k))
+    rank = {e: i for i, e in enumerate(edges)}
+    swaps = [
+        [rank[tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in e))] for e in edges]
+        for i in range(n - 1)
+    ]
+    close = search._closing_table(n, k, 3)
+    colors = []
+    nodes = prunes = 0
+
+    def threats():
+        threat = [0] * (r + 1)
+        for e, c in enumerate(colors):
+            for p, mask in close[e]:
+                if colors[p] == c:
+                    threat[c] |= mask
+        return threat
+
+    def image_smaller(s):
+        names = {}
+        for j, c in enumerate(colors):
+            if s[j] >= len(colors):
+                return False
+            a = names.setdefault(colors[s[j]], len(names) + 1)
+            if a != c:
+                return a < c
+        return False
+
+    def extend():
+        nonlocal nodes, prunes
+        d = len(colors)
+        if d == len(edges):
+            return True
+        for c in range(1, min(max(colors, default=0) + 1, r) + 1):
+            nodes += 1
+            closed = threats()[c] >> d & 1
+            colors.append(c)
+            every = functools.reduce(operator.and_, threats()[1:])
+            wiped = len(set(colors)) == r and every >> d + 1
+            if closed or wiped or any(map(image_smaller, swaps)):
+                prunes += 1
+            elif extend():
+                return True
+            colors.pop()
+        return False
+
+    found = extend()
+    return ("fails" if found else "holds"), nodes, prunes, (colors if found else None)
+
+
+# Largest n per (k, r) on which the reference engine finishes within about 0.1 s.
+QUICK_REFERENCE_N = {
+    (2, 1): 8, (2, 2): 8, (2, 3): 8, (2, 4): 7,
+    (3, 1): 8, (3, 2): 7, (3, 3): 8,
+    (4, 1): 9, (4, 2): 9,
+}
+
+
+@st.composite
+def quick_instances(draw):
+    k, r = draw(st.sampled_from(sorted(QUICK_REFERENCE_N)))
+    return k, r, draw(st.integers(k, QUICK_REFERENCE_N[k, r]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(quick_instances())
+@example((3, 1, 6))  # one color, and no copy exists below 3k-2 vertices
+@example((4, 2, 9))
+@example((2, 1, 5))
+def test_pruned_engine_matches_reference(instance):
+    # Every pruned prefix lacks the lex-least good coloring, so the pruned
+    # tree is part of the reference tree and ends at the same witness; the
+    # incremental lex-leader test prunes exactly where a rescan does.
+    outcome = decide_ramsey(*instance)
+    colors = [c for _, c in sorted(outcome.witness.items())] if outcome.witness else None
+    verdict, nodes, _, witness = reference_decide(*instance)
+    assert outcome.verdict == verdict
+    assert (serialize_coloring(outcome.witness) if outcome.witness else None) == witness
+    assert outcome.stats.nodes <= nodes
+    tree = (outcome.verdict, outcome.stats.nodes, outcome.stats.prunes, colors)
+    assert tree == naive_pruned_search(*instance)
 
 
 @pytest.mark.parametrize(

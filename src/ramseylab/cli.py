@@ -136,7 +136,8 @@ def cmd_turan(args) -> int:
     params = {"k": args.k, "n": args.n, "pattern": args.pattern, "budget": args.budget}
     summary = (
         f"turan k={args.k} n={args.n} pattern={args.pattern}:"
-        f" max_edges={result.max_edges} ({result.status})"
+        f" max_edges={result.max_edges} ({result.status},"
+        f" nodes={result.stats.nodes}, prunes={result.stats.prunes})"
     )
     _emit(args, "turan", params, result.to_json_obj(), started, summary)
     return EXIT_OK if result.status == STATUS_EXACT else EXIT_UNKNOWN
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True, choices=[PATTERN_LOOSE_PATH_2, PATTERN_LOOSE_PATH_3])
-    p.add_argument("--budget", type=int, default=0)
+    p.add_argument("--budget", type=int, default=0, help="max nodes, 0 = unlimited")
     add_json(p)
     p.set_defaults(func=cmd_turan)
 

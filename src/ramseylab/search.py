@@ -419,12 +419,16 @@ def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> l
 def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResult:
     """Largest number of edges of an n-vertex k-graph avoiding the pattern.
 
-    Branch and bound over edge inclusion in lexicographic order, bounded by
-    edges-remaining and primed with a known pattern-free construction.  The
-    recursion carries a bitmask of the edges that would close a copy with the
-    selected ones, so the inclusion test is one bit test.  The status is
-    `exact` once the tree is exhausted; a spent budget downgrades it to
-    `lower-bound-only` with the best witness found.
+    Branch and bound over edge inclusion in lex order, inclusion first,
+    primed with a known pattern-free construction.  A bitmask of the edges
+    that would close a copy with the selected ones makes inclusion one bit
+    test and bounds a node by its count plus the later edges outside it.
+    A node is also pruned when a vertex swap (i i+1) maps the decided
+    inclusion word to a lex-greater one; swaps wait on edges as in
+    `_run_canonical_dfs`.  Neither pruning removes the lex-greatest optimum,
+    so the value and the extremal (the seed if optimal, else that optimum)
+    match the unpruned search.  The tree exhausted, the status is `exact`;
+    a spent budget gives `lower-bound-only` and the best witness found.
     """
     length = _pattern_length(pattern)
     if k < 2 or n < k:
@@ -435,13 +439,32 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     edges = list(itertools.combinations(range(n), k))
     m = len(edges)
     close = _closing_table(n, k, length)
+    full = (1 << m) - 1
 
     seed = _turan_seed(k, n, pattern, edges)
     best_count = len(seed)
     best_sel = list(seed)
     selected = [False] * m
+    waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the word equals
+    for s in _vertex_swaps(n, k).tolist():
+        waiting[s[0]].append((s + [m], 0))
+    trail = [[] for _ in range(m)]
     nodes = prunes = 0
     aborted = False
+
+    def advance(d: int) -> bool:
+        """Compare on the swaps waiting on edge d; False if an image is greater."""
+        for s, j in waiting[d]:
+            while selected[s[j]] == selected[j]:
+                j += 1
+                if s[j] > d:
+                    waiting[s[j]].append((s, j))
+                    trail[d].append(s[j])
+                    break
+            else:
+                if selected[s[j]]:
+                    return False
+        return True
 
     def rec(i: int, count: int, threat: int):
         nonlocal best_count, best_sel, nodes, prunes, aborted
@@ -450,23 +473,23 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
         nodes += 1
         if budget and nodes > budget:
             aborted = True
-            return
-        if count + (m - i) <= best_count:
+        elif count + ((full ^ threat) >> i).bit_count() <= best_count or i and not advance(i - 1):
             prunes += 1
-            return
-        if i == m:
+        elif i == m:
             best_count = count
             best_sel = [j for j in range(m) if selected[j]]
-            return
-        if not threat >> i & 1:
-            selected[i] = True
-            grown = threat
-            for p, mask in close[i]:
-                if selected[p]:
-                    grown |= mask
-            rec(i + 1, count + 1, grown)
-            selected[i] = False
-        rec(i + 1, count, threat)
+        else:
+            if not threat >> i & 1:
+                selected[i] = True
+                grown = threat
+                for p, mask in close[i]:
+                    if selected[p]:
+                        grown |= mask
+                rec(i + 1, count + 1, grown)
+                selected[i] = False
+            rec(i + 1, count, threat)
+        while i and trail[i - 1]:
+            waiting[trail[i - 1].pop()].pop()
 
     rec(0, 0, 0)
     extremal = Hypergraph(k, n, [edges[i] for i in best_sel])

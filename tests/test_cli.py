@@ -81,6 +81,24 @@ def test_turan_command(capsys):
     assert len(extremal) == 20
 
 
+def test_turan_summary_reports_search(capsys):
+    code, out, _ = run(capsys, "turan", "--k", "3", "--n", "8", "--pattern", "loose-path-3", "--budget", "100")
+    assert code == 2
+    expected = "turan k=3 n=8 pattern=loose-path-3: max_edges=21 (lower-bound-only, nodes=101, prunes=47)"
+    assert out.strip() == expected
+    code, out, _ = run(capsys, "turan", "--k", "3", "--n", "8", "--pattern", "loose-path-3")
+    assert code == 0
+    assert out.strip() == "turan k=3 n=8 pattern=loose-path-3: max_edges=21 (exact, nodes=1467, prunes=734)"
+
+
+def test_turan_json_payload_keys(capsys):
+    code, out, _ = run(capsys, "turan", "--k", "2", "--n", "6", "--pattern", "loose-path-2", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert sorted(payload) == ["extremal", "max_edges", "stats", "status"]
+    assert sorted(payload["stats"]) == ["nodes", "prunes"]
+
+
 def test_construct_pair_cover(tmp_path, capsys):
     target = tmp_path / "pc.hg"
     code, _, _ = run(capsys, "construct", "pair-cover", "--k", "4", "--n", "6",

@@ -22,6 +22,7 @@ from ramseylab import (
     find_loose_path,
     find_mono_loose_path,
     serialize_coloring,
+    serialize_hypergraph,
     turan_max_edges,
 )
 from ramseylab import search
@@ -571,6 +572,56 @@ def test_pruned_engine_matches_reference(instance):
     assert tree == naive_pruned_search(*instance)
 
 
+def reference_turan_max_edges(k, n, pattern, budget=0):
+    """Branch and bound bounded by edges-remaining, primed with `search._turan_seed`.
+
+    This was `turan_max_edges` before the addable-edge bound and the vertex
+    lex-leader pruning.
+    """
+    length = search._pattern_length(pattern)
+    edges = list(itertools.combinations(range(n), k))
+    m = len(edges)
+    close = search._closing_table(n, k, length)
+
+    seed = search._turan_seed(k, n, pattern, edges)
+    best_count = len(seed)
+    best_sel = list(seed)
+    selected = [False] * m
+    nodes = prunes = 0
+    aborted = False
+
+    def rec(i, count, threat):
+        nonlocal best_count, best_sel, nodes, prunes, aborted
+        if aborted:
+            return
+        nodes += 1
+        if budget and nodes > budget:
+            aborted = True
+            return
+        if count + (m - i) <= best_count:
+            prunes += 1
+            return
+        if i == m:
+            best_count = count
+            best_sel = [j for j in range(m) if selected[j]]
+            return
+        if not threat >> i & 1:
+            selected[i] = True
+            grown = threat
+            for p, mask in close[i]:
+                if selected[p]:
+                    grown |= mask
+            rec(i + 1, count + 1, grown)
+            selected[i] = False
+        rec(i + 1, count, threat)
+
+    rec(0, 0, 0)
+    extremal = Hypergraph(k, n, [edges[i] for i in best_sel])
+    assert find_loose_path(extremal, length) is None
+    status = search.STATUS_LOWER_BOUND if aborted else search.STATUS_EXACT
+    return search.TuranResult(status, best_count, extremal, search.SearchStats(nodes, prunes, 0.0))
+
+
 @pytest.mark.parametrize(
     "k, n, pattern, budget, status, max_edges, nodes, prunes",
     [
@@ -581,7 +632,7 @@ def test_pruned_engine_matches_reference(instance):
     ],
 )
 def test_turan_golden_tree(k, n, pattern, budget, status, max_edges, nodes, prunes):
-    result = turan_max_edges(k, n, pattern, budget=budget)
+    result = reference_turan_max_edges(k, n, pattern, budget=budget)
     assert (result.status, result.max_edges, result.stats.nodes, result.stats.prunes) == (
         status,
         max_edges,
@@ -590,10 +641,99 @@ def test_turan_golden_tree(k, n, pattern, budget, status, max_edges, nodes, prun
     )
 
 
+@pytest.mark.parametrize(
+    "k, n, pattern, budget, status, max_edges, nodes, prunes",
+    [
+        (3, 7, "loose-path-3", 0, "exact", 20, 493, 241),
+        (2, 8, "loose-path-3", 0, "exact", 7, 232, 99),
+        (3, 8, "loose-path-3", 500000, "exact", 21, 1467, 734),
+        (3, 7, "loose-path-2", 0, "exact", 5, 97, 46),
+    ],
+)
+def test_turan_pruned_golden_tree(k, n, pattern, budget, status, max_edges, nodes, prunes):
+    result = turan_max_edges(k, n, pattern, budget=budget)
+    tree = (result.status, result.max_edges, result.stats.nodes, result.stats.prunes)
+    assert tree == (status, max_edges, nodes, prunes)
+
+
 def test_turan_golden_extremal():
     # The extremal 3-graph found on 7 vertices is the clique on {0..5}.
     result = turan_max_edges(3, 7, "loose-path-3")
     assert list(result.extremal.edges) == list(itertools.combinations(range(6), 3))
+
+
+# Largest n per (k, pattern) on which the reference finishes within about 0.25 s.
+QUICK_TURAN_N = {
+    (2, "loose-path-3"): 9, (2, "loose-path-2"): 11,
+    (3, "loose-path-3"): 6, (3, "loose-path-2"): 8,
+    (4, "loose-path-3"): 9, (4, "loose-path-2"): 6,
+}
+
+
+@st.composite
+def quick_turan_instances(draw):
+    k, pattern = draw(st.sampled_from(sorted(QUICK_TURAN_N)))
+    return k, draw(st.integers(k, QUICK_TURAN_N[k, pattern])), pattern
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(quick_turan_instances())
+@example((3, 7, "loose-path-3"))
+@example((2, 8, "loose-path-3"))
+@example((3, 7, "loose-path-2"))
+def test_turan_matches_reference(instance):
+    # Neither pruning removes the lex-greatest optimum, so the value and the
+    # extremal are the reference's.
+    result = turan_max_edges(*instance)
+    expected = reference_turan_max_edges(*instance)
+    assert (result.status, result.max_edges) == (expected.status, expected.max_edges)
+    assert serialize_hypergraph(result.extremal) == serialize_hypergraph(expected.extremal)
+    assert result.stats.nodes <= expected.stats.nodes
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(quick_turan_instances(), st.integers(1, 50))
+@example((3, 8, "loose-path-3"), 500000)  # the golden row the reference leaves at 21
+@example((2, 6, "loose-path-3"), 5)
+def test_turan_budget_keeps_seed(instance, budget):
+    # A spent budget still returns the seed or better.
+    k, n, pattern = instance
+    result = turan_max_edges(k, n, pattern, budget=budget)
+    seed = search._turan_seed(k, n, pattern, list(itertools.combinations(range(n), k)))
+    assert result.status == ("lower-bound-only" if result.stats.nodes > budget else "exact")
+    assert result.max_edges == len(result.extremal) >= len(seed)
+
+
+@pytest.mark.parametrize(
+    "k, n, pattern, max_edges",
+    [
+        (3, 8, "loose-path-3", 21),
+        (4, 8, "loose-path-2", 17),
+        (2, 12, "loose-path-3", 12),
+        (3, 9, "loose-path-3", 28),
+        (2, 10, "loose-path-3", 9),
+    ],
+)
+def test_turan_roadmap_targets(k, n, pattern, max_edges):
+    result = turan_max_edges(k, n, pattern)
+    assert (result.status, result.max_edges, len(result.extremal)) == ("exact", max_edges, max_edges)
+    assert find_loose_path(result.extremal, search._pattern_length(pattern)) is None
+    assert result.stats.seconds < 1.0
+
+
+def test_turan_full_star_witness_n8():
+    # The seed, the full star at vertex 0, is optimal, so it is the extremal.
+    result = turan_max_edges(3, 8, "loose-path-3")
+    assert list(result.extremal.edges) == [e for e in itertools.combinations(range(8), 3) if 0 in e]
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_turan_graph_extremal_matches_reference(n):
+    # The reference takes about 0.2 s at n = 9 and 2.5 s at n = 10.
+    result = turan_max_edges(2, n, "loose-path-3")
+    expected = reference_turan_max_edges(2, n, "loose-path-3")
+    assert (result.status, result.max_edges) == (expected.status, expected.max_edges) == ("exact", 9)
+    assert serialize_hypergraph(result.extremal) == serialize_hypergraph(expected.extremal)
 
 
 def test_decide_validates_parameters():

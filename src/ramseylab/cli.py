@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -52,10 +52,6 @@ EXIT_PARSE = 65
 EXIT_INTERNAL = 70
 
 
-def _seed() -> int:
-    return int(os.environ.get("RAMSEYLAB_SEED", "0"))
-
-
 def _emit(args, command: str, parameters: dict, payload: dict, started: float, summary: str) -> None:
     if getattr(args, "json", False):
         report = {
@@ -63,7 +59,6 @@ def _emit(args, command: str, parameters: dict, payload: dict, started: float, s
             "parameters": parameters,
             "payload": payload,
             "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-            "seed": _seed(),
         }
         print(json.dumps(report, sort_keys=True))
     else:
@@ -84,8 +79,7 @@ def _witness_payload(found) -> dict:
     return payload
 
 
-def cmd_detect(args) -> int:
-    started = time.perf_counter()
+def cmd_detect(args, started: float) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     params = {"input": args.input, "pattern": args.pattern, "coloring": bool(args.coloring)}
     if args.pattern == "star":
@@ -111,8 +105,7 @@ def cmd_detect(args) -> int:
     return EXIT_WITNESS if payload["found"] else EXIT_OK
 
 
-def cmd_ramsey(args) -> int:
-    started = time.perf_counter()
+def cmd_ramsey(args, started: float) -> int:
     outcome = decide_ramsey(args.k, args.r, args.n, budget=args.budget)
     if outcome.verdict == VERDICT_FAILS and args.witness_out:
         Path(args.witness_out).write_text(serialize_coloring(outcome.witness), encoding="utf-8")
@@ -130,8 +123,7 @@ def cmd_ramsey(args) -> int:
     return EXIT_UNKNOWN
 
 
-def cmd_turan(args) -> int:
-    started = time.perf_counter()
+def cmd_turan(args, started: float) -> int:
     result = turan_max_edges(args.k, args.n, args.pattern, budget=args.budget)
     params = {"k": args.k, "n": args.n, "pattern": args.pattern, "budget": args.budget}
     summary = (
@@ -143,8 +135,7 @@ def cmd_turan(args) -> int:
     return EXIT_OK if result.status == STATUS_EXACT else EXIT_UNKNOWN
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
+def cmd_construct(args, started: float) -> int:
     if args.kind == "star-clique":
         if args.r is None:
             raise ValueError("star-clique needs --r")
@@ -172,8 +163,7 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_coloring(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_coloring(args, started: float) -> int:
     coloring = parse_coloring(Path(args.file).read_text(encoding="utf-8"))
     found = find_mono_loose_path(coloring, 3)
     payload = _witness_payload(found)
@@ -185,8 +175,7 @@ def cmd_verify_coloring(args) -> int:
     return EXIT_WITNESS if found else EXIT_OK
 
 
-def cmd_cnf(args) -> int:
-    started = time.perf_counter()
+def cmd_cnf(args, started: float) -> int:
     instance = export_cnf(args.k, args.r, args.n)
     Path(args.output).write_text(instance.to_dimacs(), encoding="utf-8")
     payload = {
@@ -205,8 +194,7 @@ def cmd_cnf(args) -> int:
     return EXIT_OK
 
 
-def cmd_constants(args) -> int:
-    started = time.perf_counter()
+def cmd_constants(args, started: float) -> int:
     report = verify_constant_inequalities(args.k, A=args.A, r_list=args.r_list or ())
     payload = {"records": report.to_json_obj(), "all_hold": report.all_hold()}
     holding = sum(1 for rec in report.records if rec.holds)
@@ -215,8 +203,7 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def cmd_bounds(args, started: float) -> int:
     report = ramsey_bounds(args.k, args.r)
     summary = (
         f"bounds k={args.k} r={args.r}: lower={report.lower}"
@@ -226,17 +213,36 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_machinery(args) -> int:
-    started = time.perf_counter()
+def _json_fields(text: str, **readers) -> list:
+    """The named fields of the JSON object in `text`, each passed through its reader.
+
+    Readers build the library's input, so a malformed field fails in its reader
+    with TypeError, AttributeError or ArithmeticError, which is a usage error.
+    """
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("machinery input must be a JSON object")
+    fields = []
+    for name, read in readers.items():
+        try:
+            fields.append(read(data[name]))
+        except (TypeError, AttributeError, ArithmeticError) as exc:
+            raise ValueError(f"malformed field {name!r}: {exc}") from None
+    return fields
+
+
+def cmd_machinery(args, started: float) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     if args.op == "peel":
         result = peel_min_degree(parse_hypergraph(text))
         payload = {"result": serialize_hypergraph(result), "edges": len(result)}
         summary = f"peel: {len(result)} edges remain"
     elif args.op == "prune":
-        data = json.loads(text)
-        graph = BipartiteGraph(data["left"], data["right"], [tuple(e) for e in data["edges"]])
-        pruned = prune_bipartite(graph)
+        left, right, edges = _json_fields(
+            text, left=lambda x: sorted(set(x)), right=lambda x: sorted(set(x)),
+            edges=lambda x: {tuple(e) for e in x},
+        )
+        pruned = prune_bipartite(BipartiteGraph(left, right, edges))
         payload = {
             "left": list(pruned.left),
             "right": list(pruned.right),
@@ -244,8 +250,7 @@ def cmd_machinery(args) -> int:
         }
         summary = f"prune: {len(pruned.edges)} edges remain"
     elif args.op == "tripartition":
-        data = json.loads(text)
-        weights = {v: Fraction(w) for v, w in data["weights"].items()}
+        (weights,) = _json_fields(text, weights=lambda x: {v: Fraction(w) for v, w in x.items()})
         tri = greedy_tripartition(weights)
         payload = {
             "parts": [list(p) for p in tri.parts],
@@ -254,9 +259,11 @@ def cmd_machinery(args) -> int:
         }
         summary = f"tripartition: sums {', '.join(str(s) for s in tri.sums)}"
     else:
-        data = json.loads(text)
-        assignments = {tuple(f): v for f, v in data["assignments"]}
-        split = derandomized_split(assignments, data["n"], data["k"])
+        n, k, assignments = _json_fields(
+            text, n=operator.index, k=operator.index,
+            assignments=lambda x: {tuple(map(operator.index, f)): operator.index(v) for f, v in x},
+        )
+        split = derandomized_split(assignments, n, k)
         payload = {
             "u1": list(split.u1),
             "u2": list(split.u2),
@@ -275,36 +282,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="print a machine-readable run report")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("detect", help="find a pattern in a hypergraph or coloring file")
+    p = command("detect", cmd_detect, "find a pattern in a hypergraph or coloring file")
     p.add_argument("--input", required=True)
     p.add_argument(
         "--pattern", required=True, choices=[PATTERN_LOOSE_PATH_2, PATTERN_LOOSE_PATH_3, "star"]
     )
     p.add_argument("--coloring", action="store_true", help="input is a coloring file; search per color class")
-    add_json(p)
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("ramsey", help="decide whether every r-coloring of K^(k)_n has a mono loose 3-path")
+    p = command("ramsey", cmd_ramsey, "decide whether every r-coloring of K^(k)_n has a mono loose 3-path")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=0, help="max assignments, 0 = unlimited")
     p.add_argument("--witness-out", help="write the witness coloring here when the verdict is fails")
-    add_json(p)
-    p.set_defaults(func=cmd_ramsey)
 
-    p = sub.add_parser("turan", help="maximize edges avoiding a loose-path pattern")
+    p = command("turan", cmd_turan, "maximize edges avoiding a loose-path pattern")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True, choices=[PATTERN_LOOSE_PATH_2, PATTERN_LOOSE_PATH_3])
     p.add_argument("--budget", type=int, default=0, help="max nodes, 0 = unlimited")
-    add_json(p)
-    p.set_defaults(func=cmd_turan)
 
-    p = sub.add_parser("construct", help="build an extremal coloring or hypergraph")
+    p = command("construct", cmd_construct, "build an extremal coloring or hypergraph")
     p.add_argument("kind", choices=["star-clique", "full-star", "pair-cover"])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int)
@@ -312,40 +316,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=int, default=0)
     p.add_argument("--pair", type=int, nargs=2, default=[0, 1])
     p.add_argument("-o", "--output", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify-coloring", help="check a coloring file for a monochromatic loose 3-path")
+    p = command(
+        "verify-coloring", cmd_verify_coloring, "check a coloring file for a monochromatic loose 3-path"
+    )
     p.add_argument("file")
-    add_json(p)
-    p.set_defaults(func=cmd_verify_coloring)
 
-    p = sub.add_parser("cnf", help="export the coloring instance as DIMACS CNF")
+    p = command("cnf", cmd_cnf, "export the coloring instance as DIMACS CNF")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_cnf)
 
-    p = sub.add_parser("constants", help="verify the constant-inequality catalog exactly")
+    p = command("constants", cmd_constants, "verify the constant-inequality catalog exactly")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--A", type=int, default=250)
     p.add_argument("--r-list", type=int, nargs="*", default=[])
-    add_json(p)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("bounds", help="closed-form Ramsey bounds with applicability caveats")
+    p = command("bounds", cmd_bounds, "closed-form Ramsey bounds with applicability caveats")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("machinery", help="run one proof-machinery operation on a file")
+    p = command("machinery", cmd_machinery, "run one proof-machinery operation on a file")
     p.add_argument("op", choices=["peel", "prune", "tripartition", "split"])
     p.add_argument("--input", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_machinery)
 
     return parser
 
@@ -357,7 +351,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, time.perf_counter())
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -96,15 +96,10 @@ def nth_root_interval(q: RationalLike, m: int, precision: RationalLike) -> Inter
     return Interval(cell * top / 2**steps, (cell + 1) * top / 2**steps)
 
 
-def star_deficiency_bound(
+def _root_arguments(
     b: RationalLike, k: int, n: int, precision: RationalLike
-) -> Interval:
-    """Enclose (1 - (b/(k-1))^(1/(k-2)))^(k-1) * C(n-1, k-1).
-
-    This bounds from above the number of edges a loose-3-path-free
-    hypergraph can keep away from a vertex of degree >= b * C(n-1, k-1).
-    Requires k >= 3 and 0 < b <= k-1.
-    """
+) -> tuple[Fraction, Fraction]:
+    """The radicand b/(k-1) and the precision, once both bounds' arguments check out."""
     b = Fraction(b)
     precision = Fraction(precision)
     if k < 3:
@@ -115,10 +110,22 @@ def star_deficiency_bound(
         raise ValueError(f"need 0 < b <= k-1, got b={b}, k={k}")
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
+    return b / (k - 1), precision
+
+
+def star_deficiency_bound(
+    b: RationalLike, k: int, n: int, precision: RationalLike
+) -> Interval:
+    """Enclose (1 - (b/(k-1))^(1/(k-2)))^(k-1) * C(n-1, k-1).
+
+    This bounds from above the number of edges a loose-3-path-free
+    hypergraph can keep away from a vertex of degree >= b * C(n-1, k-1).
+    Requires k >= 3 and 0 < b <= k-1.
+    """
+    q, precision = _root_arguments(b, k, n, precision)
     scale = comb(n - 1, k - 1)
     if scale == 0:
         return Interval(Fraction(0), Fraction(0))
-    q = b / (k - 1)
     # (1 - x)^(k-1) * scale is decreasing in x on [0, 1]; the root bracket
     # stays inside [0, 1] because q <= 1.
     eps = precision / ((k - 1) * scale)
@@ -139,20 +146,10 @@ def link_support_lower_bound(
     This is the guaranteed vertex-support size of a sub-link whose minimum
     degree reaches b/(k-1) * C(n-2, k-2).  Requires k >= 3 and 0 < b <= k-1.
     """
-    b = Fraction(b)
-    precision = Fraction(precision)
-    if k < 3:
-        raise ValueError(f"uniformity must be at least 3, got {k}")
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if not 0 < b <= k - 1:
-        raise ValueError(f"need 0 < b <= k-1, got b={b}, k={k}")
-    if precision <= 0:
-        raise ValueError(f"precision must be positive, got {precision}")
+    q, precision = _root_arguments(b, k, n, precision)
     scale = n - 1
     if scale == 0:
         return Interval(Fraction(0), Fraction(0))
-    q = b / (k - 1)
     eps = precision / scale
     while True:
         root = nth_root_interval(q, k - 2, eps)

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
+
+
+def canonical_edge(edge: Sequence[int], k: int, n: int) -> tuple[int, ...]:
+    """`edge` as an ascending tuple; ValueError unless it is k distinct vertices in 0..n-1."""
+    e = tuple(sorted(edge))
+    if len(e) != k or len(set(e)) != k:
+        raise ValueError(f"edge {tuple(edge)} is not a set of {k} distinct vertices")
+    if e[0] < 0 or e[-1] >= n:
+        raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
+    return e
 
 
 class Hypergraph:
@@ -26,14 +36,7 @@ class Hypergraph:
             raise ValueError(f"uniformity must be at least 1, got {k}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon = set()
-        for edge in edges:
-            e = tuple(sorted(edge))
-            if len(e) != k or len(set(e)) != k:
-                raise ValueError(f"edge {tuple(edge)} is not a set of {k} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
-            canon.add(e)
+        canon = {canonical_edge(edge, k, n) for edge in edges}
         self.k = k
         self.n = n
         self._edges = tuple(sorted(canon))
@@ -112,13 +115,7 @@ class Hypergraph:
 
     def shadow(self) -> Hypergraph:
         """All (k-1)-subsets contained in some edge."""
-        if self.k < 2:
-            raise ValueError("shadow needs uniformity at least 2")
-        sets = set()
-        for e in self._edges:
-            for f in itertools.combinations(e, self.k - 1):
-                sets.add(f)
-        return Hypergraph(self.k - 1, self.n, sets)
+        return Hypergraph(self.k - 1, self.n, self.shadow_multiplicity())
 
     def shadow_multiplicity(self) -> dict[tuple[int, ...], int]:
         """Map each (k-1)-shadow set to the number of edges containing it."""
@@ -150,56 +147,67 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
     return Hypergraph(k, n, itertools.combinations(range(n), k))
 
 
+def _integers(fields: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(f"fields must be integers, got {' '.join(fields)!r}", lineno) from None
+
+
+def read_records(text: str, header: str, min_k: int, trailing: int = 0) -> Iterator[tuple]:
+    """Yield (line, header values), then (line, edge, trailing ints) per edge line.
+
+    Blank and `#` lines are skipped.  The header is the integers named in
+    `header`, `k n m` first, with k >= min_k, n, m >= 0 and the rest >= 1;
+    then come m lines of k vertex ids (see `canonical_edge`) and `trailing`
+    more integers.  Errors are ParseErrors at their 1-based line, raised
+    lazily, so a consumer's own check of a record comes before later lines.
+    """
+    names = header.split()
+    lines = text.splitlines()
+    end = max(len(lines), 1)
+    records = ((i, f) for i, line in enumerate(lines, 1) if (f := line.split()) and f[0][0] != "#")
+    lineno, fields = next(records, (end, None))
+    if fields is None:
+        raise ParseError(f"missing header line '{header}'", end)
+    values = _integers(fields, lineno)
+    if len(values) != len(names):
+        raise ParseError(f"header must be the {len(names)} integers '{header}'", lineno)
+    if values[0] < min_k or min(values[1:3]) < 0 or min(values[3:], default=1) < 1:
+        shown = " ".join(f"{a}={v}" for a, v in zip(names, values))
+        raise ParseError(f"invalid header values {shown}", lineno)
+    yield lineno, tuple(values)
+    k, n, m = values[:3]
+    count = 0
+    for lineno, fields in records:
+        if count == m:
+            raise ParseError(f"more edge lines than the declared m={m}", lineno)
+        ints = _integers(fields, lineno)
+        if len(ints) != k + trailing:
+            raise ParseError(f"expected {k + trailing} integers per edge line, got {len(ints)}", lineno)
+        try:
+            edge = canonical_edge(ints[:k], k, n)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        count += 1
+        yield lineno, edge, tuple(ints[k:])
+    if count != m:
+        raise ParseError(f"expected {m} edge lines, found {count}", end)
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the hypergraph file format.
 
     Line 1 is `k n m`, followed by m lines of k space-separated vertex ids.
     Lines starting with `#` and blank lines are ignored.
     """
-    k = n = m = 0
-    have_header = False
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if not have_header:
-            if len(fields) != 3:
-                raise ParseError("header must be three integers 'k n m'", lineno)
-            try:
-                k, n, m = (int(f) for f in fields)
-            except ValueError:
-                raise ParseError("header must be three integers 'k n m'", lineno) from None
-            if k < 1 or n < 0 or m < 0:
-                raise ParseError(f"invalid header values k={k} n={n} m={m}", lineno)
-            have_header = True
-            continue
-        if len(edges) == m:
-            raise ParseError(f"more edge lines than the declared m={m}", lineno)
-        if len(fields) != k:
-            raise ParseError(f"expected {k} vertex ids, got {len(fields)}", lineno)
-        try:
-            verts = tuple(int(f) for f in fields)
-        except ValueError:
-            raise ParseError("vertex ids must be integers", lineno) from None
-        for v in verts:
-            if not 0 <= v < n:
-                raise ParseError(f"vertex {v} outside 0..{n - 1}", lineno)
-        e = tuple(sorted(verts))
-        if len(set(e)) != k:
-            raise ParseError(f"repeated vertex in edge {' '.join(fields)}", lineno)
-        if e in seen:
-            raise ParseError(f"duplicate edge {' '.join(map(str, e))}", lineno)
-        seen.add(e)
-        edges.append(e)
-    if not have_header:
-        raise ParseError("missing header line 'k n m'", max(last_line, 1))
-    if len(edges) != m:
-        raise ParseError(f"expected {m} edges, found {len(edges)}", max(last_line, 1))
+    records = read_records(text, "k n m", 1)
+    _, (k, n, _) = next(records)
+    edges: set[tuple[int, ...]] = set()
+    for lineno, edge, _ in records:
+        if edge in edges:
+            raise ParseError(f"duplicate edge {' '.join(map(str, edge))}", lineno)
+        edges.add(edge)
     return Hypergraph(k, n, edges)
 
 

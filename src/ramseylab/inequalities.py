@@ -11,7 +11,7 @@ verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Iterable
@@ -129,10 +129,7 @@ def verify_constant_inequalities(
         NINE_TENTHS,
     )
     if not exponent_step_ok:
-        square_step = IneqRecord(
-            square_step.name, square_step.params, square_step.relation,
-            square_step.lhs, square_step.rhs, False, square_step.asymptotic,
-        )
+        square_step = replace(square_step, holds=False)
     records.append(square_step)
     records.append(
         _record(

@@ -7,13 +7,13 @@ strict inequalities that floating point would occasionally flip.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, canonical_edge
 
 
 class BipartiteGraph:
@@ -80,6 +80,35 @@ class StabilityReport(NamedTuple):
     holds: bool
 
 
+def _peel(edges: Sequence[tuple], order: Sequence[Hashable], too_low) -> list[tuple]:
+    """The edges left after removing, with its edges, the first vertex in `order`
+    whose degree is too low, until none is.
+
+    too_low(v, degree) must stay true as the degree falls, so the heap of the
+    positions of too-low vertices always holds the next victim at its top.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    incident: dict[Hashable, list[tuple]] = {v: [] for v in order}
+    for e in edges:
+        for v in e:
+            incident[v].append(e)
+    degree = {v: len(es) for v, es in incident.items()}
+    heap = [i for i, v in enumerate(order) if too_low(v, degree[v])]  # ascending: a heap
+    queued = set(heap)
+    removed: set[tuple] = set()
+    while heap:
+        for e in incident[order[heapq.heappop(heap)]]:
+            if e in removed:
+                continue
+            removed.add(e)
+            for u in e:
+                degree[u] -= 1
+                if position[u] not in queued and too_low(u, degree[u]):
+                    queued.add(position[u])
+                    heapq.heappush(heap, position[u])
+    return [e for e in edges if e not in removed]
+
+
 def peel_min_degree(h: Hypergraph) -> Hypergraph:
     """Peel to a nonempty subhypergraph with every degree above |E|/|V|.
 
@@ -93,25 +122,8 @@ def peel_min_degree(h: Hypergraph) -> Hypergraph:
     """
     if len(h) == 0:
         raise ValueError("peel needs at least one edge")
-    if h.n == 0:
-        raise ValueError("peel needs at least one vertex")
     threshold = Fraction(len(h), h.n)
-    edges = set(h.edges)
-    degree: Counter = Counter(v for e in edges for v in e)
-    alive = set(range(h.n))
-    while True:
-        victim = None
-        for v in sorted(alive):
-            if degree[v] <= threshold:
-                victim = v
-                break
-        if victim is None:
-            break
-        alive.discard(victim)
-        for e in [e for e in edges if victim in e]:
-            edges.discard(e)
-            for u in e:
-                degree[u] -= 1
+    edges = _peel(h.edges, range(h.n), lambda v, d: d <= threshold)
     if not edges:
         raise RuntimeError("degree peel emptied the hypergraph; impossible for inputs with an edge")
     return Hypergraph(h.k, h.n, edges)
@@ -127,41 +139,11 @@ def prune_bipartite(b: BipartiteGraph) -> BipartiteGraph:
     """
     if not b.edges:
         raise ValueError("pruning needs at least one edge")
-    if not b.left or not b.right:
-        raise ValueError("both vertex classes must be nonempty")
-    floor_left = Fraction(len(b.edges), 2 * len(b.left))
-    floor_right = Fraction(len(b.edges), 2 * len(b.right))
-    left = set(b.left)
-    right = set(b.right)
-    edges = set(b.edges)
-    degree: Counter = Counter()
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    while True:
-        victim = None
-        for u in sorted(left):
-            if degree[u] < floor_left:
-                victim = u
-                break
-        if victim is None:
-            for v in sorted(right):
-                if degree[v] < floor_right:
-                    victim = v
-                    break
-        if victim is None:
-            break
-        left.discard(victim)
-        right.discard(victim)
-        for e in [e for e in edges if victim in e]:
-            edges.discard(e)
-            degree[e[0]] -= 1
-            degree[e[1]] -= 1
+    floor = {v: Fraction(len(b.edges), 2 * len(side)) for side in (b.left, b.right) for v in side}
+    edges = _peel(list(b.edges), b.left + b.right, lambda v, d: d < floor[v])
     if not edges:
         raise RuntimeError("bipartite prune emptied the graph; the counting bound rules this out")
-    survivors_left = {u for u, _ in edges}
-    survivors_right = {v for _, v in edges}
-    return BipartiteGraph(survivors_left, survivors_right, edges)
+    return BipartiteGraph({u for u, _ in edges}, {v for _, v in edges}, edges)
 
 
 def greedy_tripartition(weights: Mapping[Hashable, Fraction | int | str]) -> Tripartition:
@@ -212,11 +194,9 @@ def derandomized_split(
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     items: list[tuple[tuple[int, ...], int]] = []
     for f, v in assignments.items():
-        ft = tuple(sorted(f))
-        if len(ft) != k - 1 or len(set(ft)) != k - 1:
-            raise ValueError(f"{tuple(f)} is not a set of {k - 1} distinct vertices")
-        if any(not 0 <= u < n for u in ft) or not 0 <= v < n:
-            raise ValueError(f"assignment ({ft}, {v}) has a vertex outside 0..{n - 1}")
+        ft = canonical_edge(f, k - 1, n)
+        if not 0 <= v < n:
+            raise ValueError(f"apex {v} of {ft} outside 0..{n - 1}")
         if v in ft:
             raise ValueError(f"apex {v} lies inside its own set {ft}")
         items.append((ft, v))

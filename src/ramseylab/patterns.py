@@ -12,7 +12,7 @@ from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ParseError
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, canonical_edge, read_records
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,7 @@ class Coloring:
         expected = comb(n, k)
         canon: dict[tuple[int, ...], int] = {}
         for edge, color in assignment.items():
-            e = tuple(sorted(edge))
-            if len(e) != k or len(set(e)) != k:
-                raise ValueError(f"edge {tuple(edge)} is not a set of {k} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
+            e = canonical_edge(edge, k, n)
             if not 1 <= color <= r:
                 raise ValueError(f"color {color} outside 1..{r}")
             if e in canon:
@@ -203,53 +199,17 @@ def parse_coloring(text: str) -> Coloring:
     Line 1 is `k n m r` with m = C(n, k); then m lines `v1 .. vk c` covering
     every edge of the complete k-graph exactly once.
     """
-    k = n = m = r = 0
-    have_header = False
+    records = read_records(text, "k n m r", 2, trailing=1)
+    lineno, (k, n, m, r) = next(records)
+    if m != comb(n, k):
+        raise ParseError(f"m={m} does not equal C({n},{k})={comb(n, k)}", lineno)
     assignment: dict[tuple[int, ...], int] = {}
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if not have_header:
-            if len(fields) != 4:
-                raise ParseError("header must be four integers 'k n m r'", lineno)
-            try:
-                k, n, m, r = (int(f) for f in fields)
-            except ValueError:
-                raise ParseError("header must be four integers 'k n m r'", lineno) from None
-            if k < 2 or n < 0 or m < 0 or r < 1:
-                raise ParseError(f"invalid header values k={k} n={n} m={m} r={r}", lineno)
-            if m != comb(n, k):
-                raise ParseError(f"m={m} does not equal C({n},{k})={comb(n, k)}", lineno)
-            have_header = True
-            continue
-        if len(assignment) == m:
-            raise ParseError(f"more edge lines than the declared m={m}", lineno)
-        if len(fields) != k + 1:
-            raise ParseError(f"expected {k} vertex ids and a color, got {len(fields)} fields", lineno)
-        try:
-            values = tuple(int(f) for f in fields)
-        except ValueError:
-            raise ParseError("vertex ids and colors must be integers", lineno) from None
-        verts, color = values[:-1], values[-1]
-        for v in verts:
-            if not 0 <= v < n:
-                raise ParseError(f"vertex {v} outside 0..{n - 1}", lineno)
-        e = tuple(sorted(verts))
-        if len(set(e)) != k:
-            raise ParseError(f"repeated vertex in edge {' '.join(fields[:-1])}", lineno)
+    for lineno, edge, (color,) in records:
         if not 1 <= color <= r:
             raise ParseError(f"color {color} outside 1..{r}", lineno)
-        if e in assignment:
-            raise ParseError(f"edge {' '.join(map(str, e))} colored twice", lineno)
-        assignment[e] = color
-    if not have_header:
-        raise ParseError("missing header line 'k n m r'", max(last_line, 1))
-    if len(assignment) != m:
-        raise ParseError(f"expected {m} colored edges, found {len(assignment)}", max(last_line, 1))
+        if edge in assignment:
+            raise ParseError(f"edge {' '.join(map(str, edge))} colored twice", lineno)
+        assignment[edge] = color
     return Coloring(k, n, r, assignment)
 
 

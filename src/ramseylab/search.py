@@ -162,7 +162,14 @@ def _edge_ranks(n: int, k: int, vertices: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _vertex_swaps(n: int, k: int) -> np.ndarray:
-    """Read-only (n-1, C(n,k)) table: row i maps each edge rank to its image's under (i i+1)."""
+    """Read-only (n-1, C(n,k)) table: row i maps each edge rank to its image's under (i i+1).
+
+    Its (n-1)·C(n,k)·k-entry temporary is guarded like the copy index, which
+    an instance without copies passes.
+    """
+    entries = (n - 1) * comb(n, k) * k
+    if entries > INDEX_GUARD:
+        raise InstanceTooLargeError(f"{entries} vertex-swap entries exceed the index guard {INDEX_GUARD}")
     edges = np.array(list(itertools.combinations(range(n), k)))
     i = np.arange(n - 1)[:, None, None]
     swaps = _edge_ranks(n, k, edges + (edges == i) - (edges == i + 1))
@@ -303,9 +310,9 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    edges = list(itertools.combinations(range(n), k))
-    close = _closing_table(n, k, 3)
     swaps = _vertex_swaps(n, k).tolist()
+    close = _closing_table(n, k, 3)
+    edges = list(itertools.combinations(range(n), k))
     verdict, colors, nodes, prunes, depth = _run_canonical_dfs(len(edges), r, close, swaps, budget)
 
     witness = None
@@ -436,9 +443,10 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
+    swaps = _vertex_swaps(n, k).tolist()
+    close = _closing_table(n, k, length)
     edges = list(itertools.combinations(range(n), k))
     m = len(edges)
-    close = _closing_table(n, k, length)
     full = (1 << m) - 1
 
     seed = _turan_seed(k, n, pattern, edges)
@@ -446,7 +454,7 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     best_sel = list(seed)
     selected = [False] * m
     waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the word equals
-    for s in _vertex_swaps(n, k).tolist():
+    for s in swaps:
         waiting[s[0]].append((s + [m], 0))
     trail = [[] for _ in range(m)]
     nodes = prunes = 0

@@ -48,7 +48,7 @@ def test_ramsey_json_payload_reproducible(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["payload"] == r2["payload"]
     assert r1["payload"]["verdict"] == "holds"
-    assert set(r1) == {"command", "parameters", "payload", "timing_ms", "seed"}
+    assert set(r1) == {"command", "parameters", "payload", "timing_ms"}
 
 
 def test_detect_patterns(tmp_path, capsys):
@@ -170,6 +170,28 @@ def test_machinery_split(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["u1"] == [0] and payload["proper_count"] == 1
     assert payload["expectation"] == "1/4"
+
+
+@pytest.mark.parametrize(
+    "op, data",
+    [
+        ("split", {"n": 2, "k": 2, "assignments": 5}),
+        ("split", {"n": "3", "k": 2, "assignments": [[[1], 0]]}),
+        ("tripartition", {"weights": [1, 2]}),
+        ("tripartition", {"weights": {"a": None}}),
+        ("prune", {"left": ["a"], "right": ["b"], "edges": [5]}),
+        ("prune", {"left": 0, "right": ["b"], "edges": []}),
+        ("prune", [{"left": ["a"], "right": ["b"], "edges": [["a", "b"]]}]),
+        ("tripartition", [{"weights": {"a": "1"}}]),
+        ("split", [{"n": 2, "k": 2, "assignments": [[[1], 0]]}]),
+    ],
+)
+def test_machinery_malformed_json_is_a_usage_error(tmp_path, capsys, op, data):
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(data))
+    code, _, err = run(capsys, "machinery", op, "--input", str(source))
+    assert code == 64
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors(capsys):

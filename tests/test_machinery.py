@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseylab import (
     BipartiteGraph,
@@ -140,6 +142,131 @@ def test_prune_postconditions_random(rng):
             degs[v] = degs.get(v, 0) + 1
         assert all(degs[u] >= floor_left for u in pruned.left)
         assert all(degs[v] >= floor_right for v in pruned.right)
+
+
+# The two loops as they stood before both ran on `machinery._peel`: each
+# removal rescans the sorted alive vertices and every remaining edge.
+def reference_peel_min_degree(h: Hypergraph) -> Hypergraph:
+    """Peel to a nonempty subhypergraph with every degree above |E|/|V|.
+
+    The threshold is fixed from the input (|V| counts all n vertices,
+    isolated ones included).  Vertices with current degree <= threshold are
+    removed smallest-id first until none remain below it.  A charging
+    argument rules out emptying: each edge is charged once, at its first
+    removed vertex, for a total of |E|; were every vertex removed, the last
+    removal would charge 0 < threshold, forcing the impossible strict bound
+    |E| < |E|.  The empty outcome is still checked defensively.
+    """
+    if len(h) == 0:
+        raise ValueError("peel needs at least one edge")
+    if h.n == 0:
+        raise ValueError("peel needs at least one vertex")
+    threshold = Fraction(len(h), h.n)
+    edges = set(h.edges)
+    degree: Counter = Counter(v for e in edges for v in e)
+    alive = set(range(h.n))
+    while True:
+        victim = None
+        for v in sorted(alive):
+            if degree[v] <= threshold:
+                victim = v
+                break
+        if victim is None:
+            break
+        alive.discard(victim)
+        for e in [e for e in edges if victim in e]:
+            edges.discard(e)
+            for u in e:
+                degree[u] -= 1
+    if not edges:
+        raise RuntimeError("degree peel emptied the hypergraph; impossible for inputs with an edge")
+    return Hypergraph(h.k, h.n, edges)
+
+
+def reference_prune_bipartite(b: BipartiteGraph) -> BipartiteGraph:
+    """Prune to a nonempty subgraph meeting per-class degree floors.
+
+    Both floors |B|/(2|Vi|) are fixed from the input.  Vertices with current
+    degree strictly below their class floor are removed one at a time (left
+    class first, smallest first).  Fewer than |B| edges can be lost this way,
+    so the result is never empty; checked defensively.
+    """
+    if not b.edges:
+        raise ValueError("pruning needs at least one edge")
+    if not b.left or not b.right:
+        raise ValueError("both vertex classes must be nonempty")
+    floor_left = Fraction(len(b.edges), 2 * len(b.left))
+    floor_right = Fraction(len(b.edges), 2 * len(b.right))
+    left = set(b.left)
+    right = set(b.right)
+    edges = set(b.edges)
+    degree: Counter = Counter()
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    while True:
+        victim = None
+        for u in sorted(left):
+            if degree[u] < floor_left:
+                victim = u
+                break
+        if victim is None:
+            for v in sorted(right):
+                if degree[v] < floor_right:
+                    victim = v
+                    break
+        if victim is None:
+            break
+        left.discard(victim)
+        right.discard(victim)
+        for e in [e for e in edges if victim in e]:
+            edges.discard(e)
+            degree[e[0]] -= 1
+            degree[e[1]] -= 1
+    if not edges:
+        raise RuntimeError("bipartite prune emptied the graph; the counting bound rules this out")
+    survivors_left = {u for u, _ in edges}
+    survivors_right = {v for _, v in edges}
+    return BipartiteGraph(survivors_left, survivors_right, edges)
+
+
+@st.composite
+def peel_hosts(draw):
+    """Small k-graphs, some vertices isolated, many degree ties."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    pool = list(itertools.combinations(range(n), k))
+    return Hypergraph(k, n, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14)))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Small bipartite graphs, string or integer ids, isolated vertices allowed."""
+    left = draw(st.sets(st.integers(-3, 9), min_size=1, max_size=6))
+    right = draw(st.sets(st.text("xyz", min_size=1, max_size=2), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        left, right = right, left
+    pool = sorted(itertools.product(left, right), key=repr)
+    return BipartiteGraph(left, right, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16)))
+
+
+def outcome(func, arg):
+    try:
+        return func(arg)
+    except RuntimeError as exc:  # a 1-graph whose every vertex carries an edge peels to nothing
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(peel_hosts())
+def test_peel_matches_reference(h):
+    assert outcome(peel_min_degree, h) == outcome(reference_peel_min_degree, h)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bipartite_graphs())
+def test_prune_matches_reference(b):
+    assert outcome(prune_bipartite, b) == outcome(reference_prune_bipartite, b)
 
 
 def test_bipartite_classes_must_be_disjoint():

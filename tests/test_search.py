@@ -174,10 +174,16 @@ def test_index_is_cached_and_read_only():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: decide_ramsey(3, 2, 20, budget=10), lambda: enumerate_loose_paths(20, 3, 3)],
+    [
+        lambda: decide_ramsey(3, 2, 20, budget=10),
+        lambda: enumerate_loose_paths(20, 3, 3),
+        lambda: decide_ramsey(12, 2, 20, budget=10),
+        lambda: turan_max_edges(12, 20, "loose-path-3", budget=10),
+    ],
 )
 def test_index_guard_fails_fast(call):
-    # 55.8M copies: the closed form refuses them before anything is built.
+    # 55.8M copies, or no copies but a 28.7M-entry vertex-swap table: the
+    # closed forms refuse them before anything is built.
     start = time.perf_counter()
     with pytest.raises(InstanceTooLargeError):
         call()

@@ -52,7 +52,7 @@ EXIT_PARSE = 65
 EXIT_INTERNAL = 70
 
 
-def _emit(args, command: str, parameters: dict, payload: dict, started: float, summary: str) -> None:
+def _emit(args, command: str, parameters: dict, payload: dict, started: float, summary: str, stats=None) -> None:
     if getattr(args, "json", False):
         report = {
             "command": command,
@@ -60,6 +60,9 @@ def _emit(args, command: str, parameters: dict, payload: dict, started: float, s
             "payload": payload,
             "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         }
+        if stats is not None:
+            phases = {"build": stats.build_s, "search": stats.search_s, "verify": stats.verify_s}
+            report["phases_ms"] = {name: round(s * 1000, 3) for name, s in phases.items()}
         print(json.dumps(report, sort_keys=True))
     else:
         print(summary)
@@ -115,7 +118,7 @@ def cmd_ramsey(args, started: float) -> int:
         f" (nodes={outcome.stats.nodes}, prunes={outcome.stats.prunes},"
         f" max_depth={outcome.stats.max_depth})"
     )
-    _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary)
+    _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary, outcome.stats)
     if outcome.verdict == VERDICT_HOLDS:
         return EXIT_OK
     if outcome.verdict == VERDICT_FAILS:
@@ -131,7 +134,7 @@ def cmd_turan(args, started: float) -> int:
         f" max_edges={result.max_edges} ({result.status},"
         f" nodes={result.stats.nodes}, prunes={result.stats.prunes})"
     )
-    _emit(args, "turan", params, result.to_json_obj(), started, summary)
+    _emit(args, "turan", params, result.to_json_obj(), started, summary, result.stats)
     return EXIT_OK if result.status == STATUS_EXACT else EXIT_UNKNOWN
 
 

@@ -118,8 +118,12 @@ def peel_min_degree(h: Hypergraph) -> Hypergraph:
     argument rules out emptying: each edge is charged once, at its first
     removed vertex, for a total of |E|; were every vertex removed, the last
     removal would charge 0 < threshold, forcing the impossible strict bound
-    |E| < |E|.  The empty outcome is still checked defensively.
+    |E| < |E|.  The argument needs k >= 2 (a 1-edge can be charged at its
+    only vertex, the last one removed), so 1-graphs are refused.  The empty
+    outcome is still checked defensively.
     """
+    if h.k < 2:
+        raise ValueError(f"peel needs k >= 2, got a {h.k}-graph")
     if len(h) == 0:
         raise ValueError("peel needs at least one edge")
     threshold = Fraction(len(h), h.n)

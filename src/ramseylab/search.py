@@ -43,6 +43,11 @@ class SearchStats:
     prunes: int
     seconds: float
     max_depth: int = 0  # deepest edge index the Ramsey DFS reached; 0 for the other engines
+    # Phase seconds of `decide_ramsey` and `turan_max_edges`: building the
+    # index, closing and swap tables, the search loop, re-checking the witness.
+    build_s: float = 0.0
+    search_s: float = 0.0
+    verify_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,11 @@ def enumerate_loose_paths(
         raise ValueError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
     if length not in (2, 3):
         raise ValueError(f"length must be 2 or 3, got {length}")
+    index = _loose_path_index(n, k, length)
+    if not len(index):
+        return []
     edges = list(itertools.combinations(range(n), k))
-    return list(zip(*([edges[i] for i in col.tolist()] for col in _loose_path_index(n, k, length).T)))
+    return list(zip(*([edges[i] for i in col.tolist()] for col in index.T)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -203,12 +211,28 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     return close
 
 
+def _fold(row: list[tuple[int, int]], x: int) -> int:
+    """OR of the masks of a closing-table row whose partner's bit is set in x.
+
+    Both engines memoise it per edge d, keyed by x = (chosen edges) & (the
+    partner bits of d), since the result depends on nothing else.
+    """
+    folded = 0
+    for p, mask in row:
+        if x >> p & 1:
+            folded |= mask
+    return folded
+
+
 def _run_canonical_dfs(m, r, close, swaps, budget):
     """Backtracking over edges in lex order for the lex-least good coloring.
 
-    colors[d] is the color assigned or last tried at depth d.  threat[c]
-    holds the edges that would close a monochromatic copy in color c, and
-    saved[d] is threat[colors[d]] before edge d took its color.  Edge d may
+    colors[d] is the color assigned or last tried at depth d, and cls[c]
+    the bitmask of the edges before depth d colored c.  threat[c] holds the
+    edges that would close a monochromatic copy in color c, and saved[d] is
+    threat[colors[d]] before edge d took its color; coloring d with c ORs in
+    the closing masks of its partners in cls[c], memoised in folded[d] by
+    that partner set x = cls[c] & partners[d] (see `_fold`).  Edge d may
     take color c only if colors 1..c-1 appear before it; forward checking
     prunes once all r colors are in use and a later edge is in every threat
     mask; the lex-leader test prunes when the image under a vertex swap s
@@ -222,7 +246,10 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
     used = [0] * (m + 1)
     threat = [0] * (r + 1)
     saved = [0] * m
+    cls = [0] * (r + 1)
     bits = [1 << d for d in range(m)]
+    partners = [sum(bits[p] for p, _ in row) for row in close]
+    folded = [{} for _ in range(m)]
     waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the coloring equals
     for s in swaps:
         waiting[s[0]].append((s + [m], 0, (0,) * (r + 1)))
@@ -263,6 +290,7 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
             if d < 0:
                 return VERDICT_HOLDS, None, nodes, prunes, deepest
             threat[colors[d]] = saved[d]
+            cls[colors[d]] ^= bits[d]
             while trail[d]:
                 waiting[trail[d].pop()].pop()
             continue
@@ -275,9 +303,12 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
             prunes += 1
             continue
         saved[d] = t
-        for p, mask in close[d]:
-            if colors[p] == c:
-                t |= mask
+        x = cls[c] & partners[d]
+        if x:
+            f = folded[d].get(x)
+            if f is None:
+                f = folded[d][x] = _fold(close[d], x)
+            t |= f
         threat[c] = t
         u = used[d + 1] = c if c > used[d] else used[d]
         # Shallower depths ruled a wiped-out edge out for the old masks.
@@ -288,6 +319,7 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
             while trail[d]:
                 waiting[trail[d].pop()].pop()
             continue
+        cls[c] |= bits[d]
         d += 1
         if d == m:
             return VERDICT_FAILS, list(colors), nodes, prunes, m - 1
@@ -299,7 +331,8 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     Backtracks over edges in lexicographic order with color-symmetry breaking.
     Each color keeps a bitmask of the edges that would close a monochromatic
     copy, so testing an assignment is one bit test; assigning an edge ORs in
-    its closing masks for the earlier partners of the same color.  Forward
+    its closing masks for the earlier partners of the same color, folded
+    once per distinct partner set and then looked up.  Forward
     checking and lex-leader breaking of the vertex swaps (i i+1) prune
     further without changing the verdict or the witness, the lex-least good
     coloring.  `budget` caps the number of attempted assignments (0 =
@@ -313,14 +346,17 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     swaps = _vertex_swaps(n, k).tolist()
     close = _closing_table(n, k, 3)
     edges = list(itertools.combinations(range(n), k))
+    built = time.perf_counter()
     verdict, colors, nodes, prunes, depth = _run_canonical_dfs(len(edges), r, close, swaps, budget)
 
+    searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
         witness = Coloring(k, n, r, {e: c for e, c in zip(edges, colors)})
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("search produced an invalid witness coloring")
-    stats = SearchStats(nodes, prunes, time.perf_counter() - start, depth)
+    end = time.perf_counter()
+    stats = SearchStats(nodes, prunes, end - start, depth, built - start, searched - built, end - searched)
     return SearchOutcome(verdict, witness, stats)
 
 
@@ -430,6 +466,9 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     primed with a known pattern-free construction.  A bitmask of the edges
     that would close a copy with the selected ones makes inclusion one bit
     test and bounds a node by its count plus the later edges outside it.
+    The selected edges pass down the recursion as one int, `chosen`, and
+    including edge i ORs in the closing masks of its selected partners,
+    memoised per edge by that partner set as in `_run_canonical_dfs`.
     A node is also pruned when a vertex swap (i i+1) maps the decided
     inclusion word to a lex-greater one; swaps wait on edges as in
     `_run_canonical_dfs`.  Neither pruning removes the lex-greatest optimum,
@@ -446,13 +485,16 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     swaps = _vertex_swaps(n, k).tolist()
     close = _closing_table(n, k, length)
     edges = list(itertools.combinations(range(n), k))
+    built = time.perf_counter()
     m = len(edges)
     full = (1 << m) - 1
+    bits = [1 << d for d in range(m)]
+    partners = [sum(bits[p] for p, _ in row) for row in close]
+    folded = [{} for _ in range(m)]
 
     seed = _turan_seed(k, n, pattern, edges)
     best_count = len(seed)
     best_sel = list(seed)
-    selected = [False] * m
     waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the word equals
     for s in swaps:
         waiting[s[0]].append((s + [m], 0))
@@ -460,51 +502,52 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     nodes = prunes = 0
     aborted = False
 
-    def advance(d: int) -> bool:
+    def advance(d: int, chosen: int) -> bool:
         """Compare on the swaps waiting on edge d; False if an image is greater."""
         for s, j in waiting[d]:
-            while selected[s[j]] == selected[j]:
+            while chosen >> s[j] & 1 == chosen >> j & 1:
                 j += 1
                 if s[j] > d:
                     waiting[s[j]].append((s, j))
                     trail[d].append(s[j])
                     break
             else:
-                if selected[s[j]]:
+                if chosen >> s[j] & 1:
                     return False
         return True
 
-    def rec(i: int, count: int, threat: int):
+    def rec(i: int, count: int, threat: int, chosen: int):
         nonlocal best_count, best_sel, nodes, prunes, aborted
         if aborted:
             return
         nodes += 1
         if budget and nodes > budget:
             aborted = True
-        elif count + ((full ^ threat) >> i).bit_count() <= best_count or i and not advance(i - 1):
+        elif count + ((full ^ threat) >> i).bit_count() <= best_count or i and not advance(i - 1, chosen):
             prunes += 1
         elif i == m:
             best_count = count
-            best_sel = [j for j in range(m) if selected[j]]
+            best_sel = [j for j in range(m) if chosen >> j & 1]
         else:
             if not threat >> i & 1:
-                selected[i] = True
-                grown = threat
-                for p, mask in close[i]:
-                    if selected[p]:
-                        grown |= mask
-                rec(i + 1, count + 1, grown)
-                selected[i] = False
-            rec(i + 1, count, threat)
+                grown = chosen | bits[i]
+                x = grown & partners[i]
+                f = folded[i].get(x)
+                if f is None:
+                    f = folded[i][x] = _fold(close[i], x)
+                rec(i + 1, count + 1, threat | f, grown)
+            rec(i + 1, count, threat, chosen)
         while i and trail[i - 1]:
             waiting[trail[i - 1].pop()].pop()
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
+    searched = time.perf_counter()
     extremal = Hypergraph(k, n, [edges[i] for i in best_sel])
     if find_loose_path(extremal, length) is not None:
         raise RuntimeError("search produced an extremal witness containing the pattern")
     status = STATUS_LOWER_BOUND if aborted else STATUS_EXACT
-    stats = SearchStats(nodes, prunes, time.perf_counter() - start)
+    end = time.perf_counter()
+    stats = SearchStats(nodes, prunes, end - start, 0, built - start, searched - built, end - searched)
     return TuranResult(status, best_count, extremal, stats)
 
 

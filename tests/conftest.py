@@ -3,10 +3,15 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from ramseylab import Hypergraph
 
 DEFAULT_SEED = int(os.environ.get("RAMSEYLAB_SEED", "0"))
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples on each run.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -48,7 +48,8 @@ def test_ramsey_json_payload_reproducible(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["payload"] == r2["payload"]
     assert r1["payload"]["verdict"] == "holds"
-    assert set(r1) == {"command", "parameters", "payload", "timing_ms"}
+    assert set(r1) == {"command", "parameters", "payload", "timing_ms", "phases_ms"}
+    assert sorted(r1["phases_ms"]) == ["build", "search", "verify"]
 
 
 def test_detect_patterns(tmp_path, capsys):
@@ -94,7 +95,10 @@ def test_turan_summary_reports_search(capsys):
 def test_turan_json_payload_keys(capsys):
     code, out, _ = run(capsys, "turan", "--k", "2", "--n", "6", "--pattern", "loose-path-2", "--json")
     assert code == 0
-    payload = json.loads(out)["payload"]
+    report = json.loads(out)
+    assert all(ms >= 0 for ms in report["phases_ms"].values())
+    assert sorted(report["phases_ms"]) == ["build", "search", "verify"]
+    payload = report["payload"]
     assert sorted(payload) == ["extremal", "max_edges", "stats", "status"]
     assert sorted(payload["stats"]) == ["nodes", "prunes"]
 
@@ -139,6 +143,15 @@ def test_machinery_peel(tmp_path, capsys):
     assert code == 0
     result = parse_hypergraph(json.loads(out)["payload"]["result"])
     assert result.edges == ((0, 1), (0, 2), (1, 2))
+
+
+def test_machinery_peel_rejects_1_graph(tmp_path, capsys):
+    # Peeling would empty this 1-graph; it is a usage error, not an internal one.
+    source = tmp_path / "h.hg"
+    source.write_text("1 2 2\n0\n1\n")
+    code, out, err = run(capsys, "machinery", "peel", "--input", str(source))
+    assert (code, out) == (64, "")
+    assert "k >= 2" in err and "internal" not in err
 
 
 def test_machinery_prune(tmp_path, capsys):

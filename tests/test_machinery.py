@@ -61,6 +61,15 @@ def test_peel_requires_an_edge():
         peel_min_degree(Hypergraph(2, 3))
 
 
+def test_peel_rejects_1_graphs():
+    # Every vertex of this 1-graph has degree 1 = |E|/|V|, so a peel would
+    # remove them all; the charging argument needs k >= 2.
+    with pytest.raises(ValueError, match="k >= 2"):
+        peel_min_degree(Hypergraph(1, 2, [(0,), (1,)]))
+    with pytest.raises(ValueError, match="k >= 2"):
+        peel_min_degree(Hypergraph(1, 3, [(0,)]))
+
+
 def test_peel_postconditions_random(rng):
     for _ in range(60):
         k = rng.randint(2, 4)
@@ -253,14 +262,18 @@ def bipartite_graphs(draw):
 def outcome(func, arg):
     try:
         return func(arg)
-    except RuntimeError as exc:  # a 1-graph whose every vertex carries an edge peels to nothing
+    except RuntimeError as exc:  # the defensive check that the result is nonempty
         return str(exc)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(peel_hosts())
 def test_peel_matches_reference(h):
-    assert outcome(peel_min_degree, h) == outcome(reference_peel_min_degree, h)
+    if h.k < 2:  # the reference peeled some of these to nothing
+        with pytest.raises(ValueError):
+            peel_min_degree(h)
+        return
+    assert peel_min_degree(h) == reference_peel_min_degree(h)
 
 
 @settings(max_examples=300, deadline=None, database=None)

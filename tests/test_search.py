@@ -3,6 +3,7 @@ import functools
 import itertools
 import operator
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -166,6 +167,28 @@ def test_vertex_swaps(k):
                     assert x == rank[e], (n, i, e)
 
 
+@functools.lru_cache(maxsize=None)
+def cached_closing_table(n, k, length):
+    return search._closing_table(n, k, length)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([(k, length) for k in (2, 3, 4) for length in (2, 3)]), st.data())
+def test_fold_matches_partner_scan(case, data):
+    # Both engines memoise `_fold(close[d], chosen & partners[d])`; it must
+    # equal the scan over the partners in the chosen set, whatever else is set.
+    k, length = case
+    n = data.draw(st.integers(k, 3 * k), label="n")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    m = comb(n, k)
+    for row in cached_closing_table(n, k, length):
+        chosen = {p for p, _ in row if rng.random() < 0.5}
+        others = rng.getrandbits(m) & ~sum(1 << p for p, _ in row) if m else 0
+        x = sum(1 << p for p in chosen) | others
+        expected = functools.reduce(operator.or_, (mask for p, mask in row if p in chosen), 0)
+        assert search._fold(row, x) == expected
+
+
 def test_index_is_cached_and_read_only():
     index = search._loose_path_index(7, 3, 3)
     assert search._loose_path_index(7, 3, 3) is index
@@ -193,6 +216,18 @@ def test_index_guard_fails_fast(call):
 def test_enumerate_empty_when_too_small():
     assert enumerate_loose_paths(6, 3, 3) == []
     assert enumerate_loose_paths(4, 3, 2) == []
+
+
+def test_enumerate_copy_free_allocates_no_edge_list():
+    # 22 < 3k - 2 vertices hold no copy; the C(22,12) = 646646 edge tuples
+    # must not be built just to return [].
+    tracemalloc.start()
+    try:
+        assert enumerate_loose_paths(22, 12, 3) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_decide_single_color():
@@ -654,6 +689,7 @@ def test_turan_golden_tree(k, n, pattern, budget, status, max_edges, nodes, prun
         (2, 8, "loose-path-3", 0, "exact", 7, 232, 99),
         (3, 8, "loose-path-3", 500000, "exact", 21, 1467, 734),
         (3, 7, "loose-path-2", 0, "exact", 5, 97, 46),
+        (4, 10, "loose-path-3", 200000, "lower-bound-only", 84, 200001, 99980),
     ],
 )
 def test_turan_pruned_golden_tree(k, n, pattern, budget, status, max_edges, nodes, prunes):
@@ -869,3 +905,23 @@ def test_stats_are_populated():
     assert outcome.stats.nodes > 0 and outcome.stats.seconds >= 0
     obj = outcome.to_json_obj()
     assert set(obj) == {"verdict", "witness", "stats"}
+
+
+@pytest.mark.parametrize(
+    "call, timed",
+    [
+        (lambda: decide_ramsey(2, 4, 8), True),
+        (lambda: decide_ramsey(3, 2, 8), True),
+        (lambda: turan_max_edges(3, 8, "loose-path-3"), True),
+        (lambda: exhaustive_decide(2, 2, 4), False),
+    ],
+    ids=["decide-fails", "decide-holds", "turan", "exhaustive"],
+)
+def test_phase_times_fit_the_call(call, timed):
+    stats = call().stats
+    phases = (stats.build_s, stats.search_s, stats.verify_s)
+    assert sum(phases) <= stats.seconds + 1e-9  # float rounding
+    if timed:
+        assert stats.build_s > 0 and stats.search_s > 0 and stats.verify_s >= 0
+    else:
+        assert phases == (0.0, 0.0, 0.0)

@@ -52,13 +52,14 @@ EXIT_PARSE = 65
 EXIT_INTERNAL = 70
 
 
-def _emit(args, command: str, parameters: dict, payload: dict, started: float, summary: str, stats=None) -> None:
+def _emit(args, command: str, parameters: dict, payload: dict, started: float, summary: str, stats=None, **extra) -> None:
     if getattr(args, "json", False):
         report = {
             "command": command,
             "parameters": parameters,
             "payload": payload,
             "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+            **extra,
         }
         if stats is not None:
             phases = {"build": stats.build_s, "search": stats.search_s, "verify": stats.verify_s}
@@ -118,7 +119,8 @@ def cmd_ramsey(args, started: float) -> int:
         f" (nodes={outcome.stats.nodes}, prunes={outcome.stats.prunes},"
         f" max_depth={outcome.stats.max_depth})"
     )
-    _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary, outcome.stats)
+    stats = outcome.stats
+    _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary, stats, class_cap=stats.class_cap)
     if outcome.verdict == VERDICT_HOLDS:
         return EXIT_OK
     if outcome.verdict == VERDICT_FAILS:

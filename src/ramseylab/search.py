@@ -12,6 +12,7 @@ import itertools
 import json
 import operator
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 
@@ -48,6 +49,7 @@ class SearchStats:
     build_s: float = 0.0
     search_s: float = 0.0
     verify_s: float = 0.0
+    class_cap: int = 0  # the ex_k(n) bound the Ramsey DFS armed; 0 if its Turán search never finished
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ def _fold(row: list[tuple[int, int]], x: int) -> int:
     return folded
 
 
-def _run_canonical_dfs(m, r, close, swaps, budget):
+def _run_canonical_dfs(r, close, swaps, budget, seed=None):
     """Backtracking over edges in lex order for the lex-least good coloring.
 
     colors[d] is the color assigned or last tried at depth d, and cls[c]
@@ -240,8 +242,12 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
     lex-smaller.  A swap equal up to position j waits in waiting[e] as
     (s, j, renaming) until edge e = s[j] is colored (if s[j] < j, comparing
     position s[j] needed edge j); trail[d] lists the waits added at depth d.
-    Returns (result, colors, nodes, prunes, max_depth), colors set on fails.
+    With a seed, each attempt steps `_turan_steps` on these tables one node;
+    once it returns ex, a descent is pruned when the sum over colors c of
+    min(ex - |cls[c]|, later edges not in threat[c]) is below the edges left.
+    Returns (result, colors, nodes, prunes, max_depth, ex or 0).
     """
+    m = len(close)
     colors = [0] * m
     used = [0] * (m + 1)
     threat = [0] * (r + 1)
@@ -250,11 +256,12 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
     bits = [1 << d for d in range(m)]
     partners = [sum(bits[p] for p, _ in row) for row in close]
     folded = [{} for _ in range(m)]
+    steps = None if seed is None else _turan_steps(close, swaps, partners, folded, seed)
     waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the coloring equals
     for s in swaps:
         waiting[s[0]].append((s + [m], 0, (0,) * (r + 1)))
     trail = [[] for _ in range(m)]
-    d = nodes = prunes = deepest = 0
+    d = nodes = prunes = deepest = cap = 0
 
     def advance(d):
         """Compare on the swaps waiting on edge d; False if an image is smaller."""
@@ -288,7 +295,7 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
                 deepest = d
             d -= 1
             if d < 0:
-                return VERDICT_HOLDS, None, nodes, prunes, deepest
+                return VERDICT_HOLDS, None, nodes, prunes, deepest, cap
             threat[colors[d]] = saved[d]
             cls[colors[d]] ^= bits[d]
             while trail[d]:
@@ -297,7 +304,12 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
         colors[d] = c
         nodes += 1
         if budget and nodes > budget:
-            return VERDICT_UNKNOWN, None, nodes, prunes, max(deepest, d)
+            return VERDICT_UNKNOWN, None, nodes, prunes, max(deepest, d), cap
+        if steps:
+            try:
+                next(steps)
+            except StopIteration as stop:
+                cap, steps = stop.value[0], None
         t = threat[c]
         if t & bits[d]:
             prunes += 1
@@ -313,16 +325,19 @@ def _run_canonical_dfs(m, r, close, swaps, budget):
         u = used[d + 1] = c if c > used[d] else used[d]
         # Shallower depths ruled a wiped-out edge out for the old masks.
         wiped = u == r and t != saved[d] and functools.reduce(operator.and_, threat[1:]) >> d + 1
-        if wiped or waiting[d] and not advance(d):
+        cls[c] |= bits[d]
+        if wiped or waiting[d] and not advance(d) or cap and m - d - 1 > sum(
+            min(cap - cls[a].bit_count(), m - d - 1 - (threat[a] >> d + 1).bit_count()) for a in range(1, r + 1)
+        ):
             prunes += 1
             threat[c] = saved[d]
+            cls[c] ^= bits[d]
             while trail[d]:
                 waiting[trail[d].pop()].pop()
             continue
-        cls[c] |= bits[d]
         d += 1
         if d == m:
-            return VERDICT_FAILS, list(colors), nodes, prunes, m - 1
+            return VERDICT_FAILS, list(colors), nodes, prunes, m - 1, cap
 
 
 def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
@@ -332,11 +347,12 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     Each color keeps a bitmask of the edges that would close a monochromatic
     copy, so testing an assignment is one bit test; assigning an edge ORs in
     its closing masks for the earlier partners of the same color, folded
-    once per distinct partner set and then looked up.  Forward
-    checking and lex-leader breaking of the vertex swaps (i i+1) prune
-    further without changing the verdict or the witness, the lex-least good
-    coloring.  `budget` caps the number of attempted assignments (0 =
-    unlimited); exhausting it yields the verdict "unknown".
+    once per distinct partner set and then looked up.  Forward checking,
+    lex-leader breaking of the vertex swaps (i i+1) and a cap of ex_k(n) edges
+    per class, armed once the Turán search run in lockstep is exact (it is
+    `stats.class_cap`), prune further without changing the verdict or the
+    witness, the lex-least good coloring.  `budget` caps the number of
+    attempted assignments (0 = unlimited); exhausting it yields "unknown".
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
@@ -347,8 +363,8 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     close = _closing_table(n, k, 3)
     edges = list(itertools.combinations(range(n), k))
     built = time.perf_counter()
-    verdict, colors, nodes, prunes, depth = _run_canonical_dfs(len(edges), r, close, swaps, budget)
-
+    seed = _turan_seed(k, n, PATTERN_LOOSE_PATH_3, edges)
+    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(r, close, swaps, budget, seed)
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
@@ -356,7 +372,7 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("search produced an invalid witness coloring")
     end = time.perf_counter()
-    stats = SearchStats(nodes, prunes, end - start, depth, built - start, searched - built, end - searched)
+    stats = SearchStats(nodes, prunes, end - start, depth, built - start, searched - built, end - searched, cap)
     return SearchOutcome(verdict, witness, stats)
 
 
@@ -449,60 +465,30 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
 
 def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> list[int]:
     """Indexes of a known pattern-free hypergraph to prime the search bound."""
-    index = {e: i for i, e in enumerate(edges)}
     if pattern == PATTERN_LOOSE_PATH_3:
-        seed = [i for i, e in enumerate(edges) if 0 in e]
-    elif k >= 3:
-        seed = sorted(index[e] for e in pair_cover(n, k).edges)
-    else:
-        seed = [index[(v, v + 1)] for v in range(0, n - 1, 2)]
-    return seed
+        return [i for i, e in enumerate(edges) if 0 in e]
+    index = {e: i for i, e in enumerate(edges)}
+    if k >= 3:
+        return sorted(index[e] for e in pair_cover(n, k).edges)
+    return [index[(v, v + 1)] for v in range(0, n - 1, 2)]
 
 
-def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResult:
-    """Largest number of edges of an n-vertex k-graph avoiding the pattern.
+def _turan_steps(close, swaps, partners, folded, seed):
+    """The branch and bound of `turan_max_edges` as a generator on its own stack.
 
-    Branch and bound over edge inclusion in lex order, inclusion first,
-    primed with a known pattern-free construction.  A bitmask of the edges
-    that would close a copy with the selected ones makes inclusion one bit
-    test and bounds a node by its count plus the later edges outside it.
-    The selected edges pass down the recursion as one int, `chosen`, and
-    including edge i ORs in the closing masks of its selected partners,
-    memoised per edge by that partner set as in `_run_canonical_dfs`.
-    A node is also pruned when a vertex swap (i i+1) maps the decided
-    inclusion word to a lex-greater one; swaps wait on edges as in
-    `_run_canonical_dfs`.  Neither pruning removes the lex-greatest optimum,
-    so the value and the extremal (the seed if optimal, else that optimum)
-    match the unpruned search.  The tree exhausted, the status is `exact`;
-    a spent budget gives `lower-bound-only` and the best witness found.
+    It yields the node count on entering a node, stops there when sent a true
+    value and returns (best_count, best_sel, nodes, prunes).  Per-depth lists
+    are made on first use, since in lockstep it may stop after a few nodes.
     """
-    length = _pattern_length(pattern)
-    if k < 2 or n < k:
-        raise ValueError(f"need k >= 2 and n >= k, got k={k}, n={n}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    start = time.perf_counter()
-    swaps = _vertex_swaps(n, k).tolist()
-    close = _closing_table(n, k, length)
-    edges = list(itertools.combinations(range(n), k))
-    built = time.perf_counter()
-    m = len(edges)
-    full = (1 << m) - 1
-    bits = [1 << d for d in range(m)]
-    partners = [sum(bits[p] for p, _ in row) for row in close]
-    folded = [{} for _ in range(m)]
-
-    seed = _turan_seed(k, n, pattern, edges)
-    best_count = len(seed)
-    best_sel = list(seed)
-    waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the word equals
+    m = len(close)
+    best_count, best_sel = len(seed), seed
+    waiting, trail = defaultdict(list), defaultdict(list)  # waiting[m] holds swaps the word equals
     for s in swaps:
         waiting[s[0]].append((s + [m], 0))
-    trail = [[] for _ in range(m)]
-    nodes = prunes = 0
-    aborted = False
+    threat = [0] * (m + 1)
+    i = chosen = nodes = prunes = 0
 
-    def advance(d: int, chosen: int) -> bool:
+    def advance(d: int) -> bool:
         """Compare on the swaps waiting on edge d; False if an image is greater."""
         for s, j in waiting[d]:
             while chosen >> s[j] & 1 == chosen >> j & 1:
@@ -516,36 +502,78 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
                     return False
         return True
 
-    def rec(i: int, count: int, threat: int, chosen: int):
-        nonlocal best_count, best_sel, nodes, prunes, aborted
-        if aborted:
-            return
+    while True:
         nodes += 1
-        if budget and nodes > budget:
-            aborted = True
-        elif count + ((full ^ threat) >> i).bit_count() <= best_count or i and not advance(i - 1, chosen):
+        if (yield nodes):
+            break
+        t = threat[i]
+        if chosen.bit_count() + m - i - (t >> i).bit_count() <= best_count or i and not advance(i - 1):
             prunes += 1
         elif i == m:
-            best_count = count
-            best_sel = [j for j in range(m) if chosen >> j & 1]
+            best_count, best_sel = chosen.bit_count(), [j for j in range(m) if chosen >> j & 1]
         else:
-            if not threat >> i & 1:
-                grown = chosen | bits[i]
-                x = grown & partners[i]
+            if not t >> i & 1:  # inclusion first
+                chosen |= 1 << i
+                x = chosen & partners[i]
                 f = folded[i].get(x)
                 if f is None:
                     f = folded[i][x] = _fold(close[i], x)
-                rec(i + 1, count + 1, threat | f, grown)
-            rec(i + 1, count, threat, chosen)
-        while i and trail[i - 1]:
-            waiting[trail[i - 1].pop()].pop()
+                t |= f
+            threat[i + 1] = t
+            i += 1
+            continue
+        while i:  # leave nodes up to one whose edge is in `chosen`, its exclusion left
+            while trail[i - 1]:
+                waiting[trail[i - 1].pop()].pop()
+            i -= 1
+            if chosen >> i & 1:
+                chosen ^= 1 << i
+                threat[i + 1] = threat[i]
+                i += 1
+                break
+        else:
+            break
+    return best_count, best_sel, nodes, prunes
 
-    rec(0, 0, 0, 0)
+
+def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResult:
+    """Largest number of edges of an n-vertex k-graph avoiding the pattern.
+
+    Branch and bound over edge inclusion in lex order, inclusion first,
+    primed with a known pattern-free construction (`_turan_steps`, run up
+    to the budget).  A bitmask of the edges that would close a copy with the
+    selected ones makes inclusion one bit test and bounds a node by its
+    count plus the later edges outside it; the fold of closing masks is
+    memoised as in `_run_canonical_dfs`.  A node is also pruned when a
+    vertex swap (i i+1) maps the decided inclusion word to a lex-greater
+    one.  Neither pruning removes the lex-greatest optimum, so the value and
+    the extremal (the seed if optimal, else that optimum) match the unpruned
+    search.  The tree exhausted, the status is `exact`; a spent budget gives
+    `lower-bound-only` and the best witness found.
+    """
+    length = _pattern_length(pattern)
+    if k < 2 or n < k:
+        raise ValueError(f"need k >= 2 and n >= k, got k={k}, n={n}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    start = time.perf_counter()
+    swaps = _vertex_swaps(n, k).tolist()
+    close = _closing_table(n, k, length)
+    edges = list(itertools.combinations(range(n), k))
+    built = time.perf_counter()
+    partners = [sum(1 << p for p, _ in row) for row in close]
+    steps = _turan_steps(close, swaps, partners, [{} for _ in close], _turan_seed(k, n, pattern, edges))
+    try:
+        nodes = next(steps)
+        while True:
+            nodes = steps.send(budget and nodes > budget)
+    except StopIteration as stop:
+        best_count, best_sel, nodes, prunes = stop.value
     searched = time.perf_counter()
     extremal = Hypergraph(k, n, [edges[i] for i in best_sel])
     if find_loose_path(extremal, length) is not None:
         raise RuntimeError("search produced an extremal witness containing the pattern")
-    status = STATUS_LOWER_BOUND if aborted else STATUS_EXACT
+    status = STATUS_LOWER_BOUND if budget and nodes > budget else STATUS_EXACT
     end = time.perf_counter()
     stats = SearchStats(nodes, prunes, end - start, 0, built - start, searched - built, end - searched)
     return TuranResult(status, best_count, extremal, stats)

@@ -48,8 +48,17 @@ def test_ramsey_json_payload_reproducible(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["payload"] == r2["payload"]
     assert r1["payload"]["verdict"] == "holds"
-    assert set(r1) == {"command", "parameters", "payload", "timing_ms", "phases_ms"}
+    assert set(r1) == {"command", "parameters", "payload", "timing_ms", "phases_ms", "class_cap"}
     assert sorted(r1["phases_ms"]) == ["build", "search", "verify"]
+
+
+def test_ramsey_json_reports_class_cap(capsys):
+    # ex_2(10) = 9 and 4 * 9 < C(10,2), so the armed cap decides the instance.
+    code, out, _ = run(capsys, "ramsey", "--k", "2", "--r", "4", "--n", "10", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["class_cap"] == 9 and report["payload"]["verdict"] == "holds"
+    assert sorted(report["payload"]) == ["stats", "verdict", "witness"]
 
 
 def test_detect_patterns(tmp_path, capsys):
@@ -90,6 +99,13 @@ def test_turan_summary_reports_search(capsys):
     code, out, _ = run(capsys, "turan", "--k", "3", "--n", "8", "--pattern", "loose-path-3")
     assert code == 0
     assert out.strip() == "turan k=3 n=8 pattern=loose-path-3: max_edges=21 (exact, nodes=1467, prunes=734)"
+
+
+def test_turan_deep_search_exits_unknown(capsys):
+    # C(50,2) = 1225 edges, deeper than the interpreter's recursion limit.
+    code, out, _ = run(capsys, "turan", "--k", "2", "--n", "50", "--pattern", "loose-path-3", "--budget", "5000")
+    assert code == 2
+    assert "lower-bound-only, nodes=5001" in out
 
 
 def test_turan_json_payload_keys(capsys):

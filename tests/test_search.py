@@ -458,6 +458,24 @@ def reference_decide(k, r, n, budget=0):
     return verdict, nodes, prunes, witness
 
 
+def uncapped_decide(k, r, n, budget=0):
+    """(verdict, nodes, prunes, max_depth, witness colors) of the DFS without the class cap.
+
+    No Turán search is stepped, so the tree is the one forward checking and
+    the lex-leader test alone leave.
+    """
+    close = search._closing_table(n, k, 3)
+    swaps = search._vertex_swaps(n, k).tolist()
+    verdict, colors, nodes, prunes, depth, cap = search._run_canonical_dfs(r, close, swaps, budget)
+    assert cap == 0
+    return verdict, nodes, prunes, depth, colors
+
+
+def serialized_witness(k, r, n, colors):
+    edges = itertools.combinations(range(n), k)
+    return serialize_coloring(Coloring(k, n, r, dict(zip(edges, colors)))) if colors else None
+
+
 @pytest.mark.parametrize(
     "k, r, n, budget, verdict, nodes, prunes",
     [
@@ -482,10 +500,27 @@ def test_decide_golden_tree(k, r, n, budget, verdict, nodes, prunes):
     ],
 )
 def test_decide_pruned_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_depth):
+    assert uncapped_decide(k, r, n, budget)[:4] == (verdict, nodes, prunes, max_depth)
+
+
+@pytest.mark.parametrize(
+    "k, r, n, budget, verdict, nodes, prunes, max_depth, class_cap",
+    [
+        (3, 3, 9, 300000, "holds", 10041, 6685, 54, 28),
+        (2, 4, 10, 0, "holds", 783, 581, 25, 9),
+        (4, 2, 10, 0, "fails", 336, 126, 209, 0),  # ex_4(10) is not reached in 336 steps
+        (2, 4, 9, 0, "fails", 2905, 2157, 35, 9),
+        (2, 3, 8, 0, "holds", 237, 156, 14, 7),
+        (3, 3, 9, 1000, "unknown", 1001, 647, 54, 0),  # ex_3(9) takes 2309 Turán nodes
+    ],
+)
+def test_decide_capped_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_depth, class_cap):
+    # Each color class holds at most ex_k(n) edges; the cap is armed once
+    # the Turán search, stepped once per attempt, has proved that value.
     outcome = decide_ramsey(k, r, n, budget=budget)
     stats = outcome.stats
-    tree = (outcome.verdict, stats.nodes, stats.prunes, stats.max_depth)
-    assert tree == (verdict, nodes, prunes, max_depth)
+    tree = (outcome.verdict, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap)
+    assert tree == (verdict, nodes, prunes, max_depth, class_cap)
 
 
 def test_decide_golden_witness():
@@ -514,11 +549,16 @@ REFERENCE_CASES = sorted(
 
 @pytest.mark.parametrize("k, r, n, budget", REFERENCE_CASES)
 def test_decide_matches_reference(k, r, n, budget):
+    verdict, nodes, _, expected = reference_decide(k, r, n, budget)
+    uncapped, uncapped_nodes, _, _, colors = uncapped_decide(k, r, n, budget)
+    assert (uncapped, serialized_witness(k, r, n, colors)) == (verdict, expected)
+    assert uncapped_nodes <= nodes
+    # The capped engine may decide what the budget left unknown, never otherwise.
     outcome = decide_ramsey(k, r, n, budget=budget)
     witness = serialize_coloring(outcome.witness) if outcome.witness else None
-    verdict, nodes, _, expected = reference_decide(k, r, n, budget)
-    assert (outcome.verdict, witness) == (verdict, expected)
-    assert outcome.stats.nodes <= nodes
+    if verdict != VERDICT_UNKNOWN:
+        assert (outcome.verdict, witness) == (verdict, expected)
+    assert outcome.stats.nodes <= uncapped_nodes
 
 
 def naive_pruned_search(k, r, n):
@@ -603,14 +643,27 @@ def test_pruned_engine_matches_reference(instance):
     # Every pruned prefix lacks the lex-least good coloring, so the pruned
     # tree is part of the reference tree and ends at the same witness; the
     # incremental lex-leader test prunes exactly where a rescan does.
+    verdict, nodes, prunes, _, colors = uncapped_decide(*instance)
+    expected_verdict, expected_nodes, _, witness = reference_decide(*instance)
+    assert verdict == expected_verdict
+    assert serialized_witness(*instance, colors) == witness
+    assert nodes <= expected_nodes
+    assert (verdict, nodes, prunes, colors) == naive_pruned_search(*instance)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(quick_instances())
+@example((2, 3, 8))  # the cap is armed at ex_2(8) = 7 and decides the instance
+@example((2, 4, 7))
+@example((4, 2, 9))
+def test_capped_engine_matches_reference(instance):
+    # The cap prunes only prefixes whose classes cannot hold the edges left,
+    # so it keeps the lex-least good coloring and visits part of the tree.
     outcome = decide_ramsey(*instance)
-    colors = [c for _, c in sorted(outcome.witness.items())] if outcome.witness else None
-    verdict, nodes, _, witness = reference_decide(*instance)
+    verdict, _, _, witness = reference_decide(*instance)
     assert outcome.verdict == verdict
     assert (serialize_coloring(outcome.witness) if outcome.witness else None) == witness
-    assert outcome.stats.nodes <= nodes
-    tree = (outcome.verdict, outcome.stats.nodes, outcome.stats.prunes, colors)
-    assert tree == naive_pruned_search(*instance)
+    assert outcome.stats.nodes <= uncapped_decide(*instance)[1]
 
 
 def reference_turan_max_edges(k, n, pattern, budget=0):
@@ -767,6 +820,14 @@ def test_turan_full_star_witness_n8():
     # The seed, the full star at vertex 0, is optimal, so it is the extremal.
     result = turan_max_edges(3, 8, "loose-path-3")
     assert list(result.extremal.edges) == [e for e in itertools.combinations(range(8), 3) if 0 in e]
+
+
+def test_turan_deep_tree_needs_no_recursion():
+    # C(46,2) = 1035 edges put the search deeper than the interpreter's
+    # recursion limit; the explicit stack spends the budget instead.
+    result = turan_max_edges(2, 46, "loose-path-3", budget=5000)
+    assert (result.status, result.stats.nodes) == ("lower-bound-only", 5001)
+    assert result.max_edges == len(result.extremal) >= 45
 
 
 @pytest.mark.parametrize("n", [9, 10])

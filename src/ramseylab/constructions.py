@@ -9,7 +9,6 @@ r+3k-3 vertices.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -87,10 +86,6 @@ class BoundsReport:
             "upper_250r": self.upper_250r,
             "caveats": list(self.caveats),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 def ramsey_bounds(k: int, r: int) -> BoundsReport:
     """Report the r+3k-3 lower bound and the kr / 250r upper bounds.

@@ -31,9 +31,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, value: Fraction | int) -> bool:
-        return self.lo <= value <= self.hi
-
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 

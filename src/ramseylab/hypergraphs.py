@@ -127,18 +127,6 @@ class Hypergraph:
                 counts[f] += 1
         return dict(counts)
 
-    def remove_vertices(self, drop: Iterable[int]) -> Hypergraph:
-        """Induced subhypergraph on the complement of `drop`.
-
-        Vertex ids and n are preserved; dropped vertices become isolated.
-        """
-        dropped = set(drop)
-        for v in dropped:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        kept = [e for e in self._edges if dropped.isdisjoint(e)]
-        return Hypergraph(self.k, self.n, kept)
-
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:
     """The complete k-graph on n vertices, with all C(n, k) edges."""

@@ -10,7 +10,6 @@ verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
@@ -66,10 +65,6 @@ class IneqReport:
 
     def to_json_obj(self) -> list[dict]:
         return [rec.to_json_obj() for rec in self.records]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 def _compare(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
     if relation == "<":

@@ -196,14 +196,16 @@ def derandomized_split(
         raise ValueError(f"uniformity must be at least 2, got {k}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    items: list[tuple[tuple[int, ...], int]] = []
+    items: dict[tuple[int, ...], int] = {}
     for f, v in assignments.items():
         ft = canonical_edge(f, k - 1, n)
         if not 0 <= v < n:
             raise ValueError(f"apex {v} of {ft} outside 0..{n - 1}")
         if v in ft:
             raise ValueError(f"apex {v} lies inside its own set {ft}")
-        items.append((ft, v))
+        if ft in items:
+            raise ValueError(f"set {ft} given twice")
+        items[ft] = v
 
     p_u1 = Fraction(1, k)
     p_u2 = Fraction(k - 1, k)
@@ -213,7 +215,7 @@ def derandomized_split(
     side: list[int | None] = [None] * n
 
     touching: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for f, v in items:
+    for f, v in items.items():
         for u in (v, *f):
             touching[u].append((f, v))
 
@@ -246,7 +248,7 @@ def derandomized_split(
     u1 = tuple(v for v in range(n) if side[v] == U1)
     u2 = tuple(v for v in range(n) if side[v] == U2)
     proper = sum(
-        1 for f, v in items if side[v] == U1 and all(side[u] == U2 for u in f)
+        1 for f, v in items.items() if side[v] == U1 and all(side[u] == U2 for u in f)
     )
     return SplitAssignment(u1, u2, proper, expectation)
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 
@@ -69,9 +67,6 @@ class SearchOutcome:
             "stats": {"nodes": self.stats.nodes, "prunes": self.stats.prunes},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class TuranResult:
@@ -89,9 +84,6 @@ class TuranResult:
             "extremal": serialize_hypergraph(self.extremal),
             "stats": {"nodes": self.stats.nodes, "prunes": self.stats.prunes},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def _pattern_length(pattern: str) -> int:
@@ -213,35 +205,81 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     return close
 
 
-def _fold(row: list[tuple[int, int]], x: int) -> int:
-    """OR of the masks of a closing-table row whose partner's bit is set in x.
+class _FoldMemo(dict):
+    """Memo of one closing-table row: x maps to the OR of the masks whose partner's bit is set in x.
 
-    Both engines memoise it per edge d, keyed by x = (chosen edges) & (the
-    partner bits of d), since the result depends on nothing else.
+    Both engines read it for edge d at x = (chosen edges) & partners[d], since
+    the result depends on nothing else; a miss folds the row once.
     """
-    folded = 0
-    for p, mask in row:
-        if x >> p & 1:
-            folded |= mask
-    return folded
+
+    def __init__(self, row: list[tuple[int, int]]):
+        self.row = row
+
+    def __missing__(self, x: int) -> int:
+        folded = 0
+        for p, mask in self.row:
+            if x >> p & 1:
+                folded |= mask
+        self[x] = folded
+        return folded
 
 
-def _run_canonical_dfs(r, close, swaps, budget, seed=None):
+def _tables(n: int, k: int, length: int):
+    """(swaps, close, edges, partners) of K^(k)_n, the tables both engines read.
+
+    swaps are the rows of `_vertex_swaps` as lists, each ending in the
+    sentinel C(n,k); they are built first, so their guard stops an instance
+    without copies.  close is `_closing_table`, edges lists the k-sets in lex
+    order and partners[d] is the OR of the partner bits of close[d].
+    """
+    swaps = [s + [len(s)] for s in _vertex_swaps(n, k).tolist()]
+    close = _closing_table(n, k, length)
+    partners = [sum(1 << p for p, _ in row) for row in close]
+    return swaps, close, list(itertools.combinations(range(n), k)), partners
+
+
+def _lex_leader(d, word, used, waiting, trail):
+    """Compare on the swaps waiting on edge d; False if an image is lex-smaller.
+
+    Position j of the image of word under a vertex swap s holds word[s[j]],
+    renamed by first occurrence: a wait (s, j, name) maps the values met so
+    far, and a new value takes used[j] + 1.  A swap equal up to position j
+    waits in waiting[e] until edge e = s[j] is decided (if s[j] < j, comparing
+    position s[j] needed edge j); trail[d] lists the waits added at depth d.
+    A sentinel s[m] = m parks a swap the whole word equals in waiting[m].
+    """
+    for s, j, name in waiting[d]:
+        while True:
+            x = word[s[j]]
+            a = name[x]
+            if not a:  # a new image value takes the next name
+                a = used[j] + 1
+                name = name[:x] + (a,) + name[x + 1 :]
+            if a != word[j]:
+                if a < word[j]:
+                    return False
+                break
+            j += 1
+            e = s[j]
+            if e > d:
+                waiting[e].append((s, j, name))
+                trail[d].append(e)
+                break
+    return True
+
+
+def _run_canonical_dfs(r, swaps, close, partners, budget, seed=None):
     """Backtracking over edges in lex order for the lex-least good coloring.
 
     colors[d] is the color assigned or last tried at depth d, and cls[c]
     the bitmask of the edges before depth d colored c.  threat[c] holds the
     edges that would close a monochromatic copy in color c, and saved[d] is
     threat[colors[d]] before edge d took its color; coloring d with c ORs in
-    the closing masks of its partners in cls[c], memoised in folded[d] by
-    that partner set x = cls[c] & partners[d] (see `_fold`).  Edge d may
-    take color c only if colors 1..c-1 appear before it; forward checking
-    prunes once all r colors are in use and a later edge is in every threat
-    mask; the lex-leader test prunes when the image under a vertex swap s
-    (position j colored colors[s[j]], renamed by first occurrence) is
-    lex-smaller.  A swap equal up to position j waits in waiting[e] as
-    (s, j, renaming) until edge e = s[j] is colored (if s[j] < j, comparing
-    position s[j] needed edge j); trail[d] lists the waits added at depth d.
+    the closing masks of its partners in cls[c], read from folded[d] at
+    x = cls[c] & partners[d].  Edge d may take color c only if colors
+    1..c-1 appear before it; forward checking prunes once all r colors are
+    in use and a later edge is in every threat mask; `_lex_leader` prunes
+    when the image under a vertex swap (i i+1) is lex-smaller.
     With a seed, each attempt steps `_turan_steps` on these tables one node;
     once it returns ex, a descent is pruned when the sum over colors c of
     min(ex - |cls[c]|, later edges not in threat[c]) is below the edges left.
@@ -254,36 +292,13 @@ def _run_canonical_dfs(r, close, swaps, budget, seed=None):
     saved = [0] * m
     cls = [0] * (r + 1)
     bits = [1 << d for d in range(m)]
-    partners = [sum(bits[p] for p, _ in row) for row in close]
-    folded = [{} for _ in range(m)]
-    steps = None if seed is None else _turan_steps(close, swaps, partners, folded, seed)
-    waiting = [[] for _ in range(m + 1)]  # waiting[m] holds swaps the coloring equals
+    folded = [_FoldMemo(row) for row in close]
+    steps = None if seed is None else _turan_steps(swaps, partners, folded, seed)
+    waiting = [[] for _ in range(m + 1)]
     for s in swaps:
-        waiting[s[0]].append((s + [m], 0, (0,) * (r + 1)))
+        waiting[s[0]].append((s, 0, (0,) * (r + 1)))
     trail = [[] for _ in range(m)]
     d = nodes = prunes = deepest = cap = 0
-
-    def advance(d):
-        """Compare on the swaps waiting on edge d; False if an image is smaller."""
-        for s, j, name in waiting[d]:
-            while True:
-                x = colors[s[j]]
-                a = name[x]
-                if not a:  # a new image color takes the next name
-                    a = used[j] + 1
-                    name = name[:x] + (a,) + name[x + 1 :]
-                if a != colors[j]:
-                    if a < colors[j]:
-                        return False
-                    break
-                j += 1
-                e = s[j]
-                if e > d:
-                    waiting[e].append((s, j, name))
-                    trail[d].append(e)
-                    break
-        return True
-
     while True:
         limit = used[d] + 1
         if limit > r:
@@ -317,16 +332,13 @@ def _run_canonical_dfs(r, close, swaps, budget, seed=None):
         saved[d] = t
         x = cls[c] & partners[d]
         if x:
-            f = folded[d].get(x)
-            if f is None:
-                f = folded[d][x] = _fold(close[d], x)
-            t |= f
+            t |= folded[d][x]
         threat[c] = t
         u = used[d + 1] = c if c > used[d] else used[d]
         # Shallower depths ruled a wiped-out edge out for the old masks.
         wiped = u == r and t != saved[d] and functools.reduce(operator.and_, threat[1:]) >> d + 1
         cls[c] |= bits[d]
-        if wiped or waiting[d] and not advance(d) or cap and m - d - 1 > sum(
+        if wiped or waiting[d] and not _lex_leader(d, colors, used, waiting, trail) or cap and m - d - 1 > sum(
             min(cap - cls[a].bit_count(), m - d - 1 - (threat[a] >> d + 1).bit_count()) for a in range(1, r + 1)
         ):
             prunes += 1
@@ -359,12 +371,10 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    swaps = _vertex_swaps(n, k).tolist()
-    close = _closing_table(n, k, 3)
-    edges = list(itertools.combinations(range(n), k))
+    swaps, close, edges, partners = _tables(n, k, 3)
     built = time.perf_counter()
     seed = _turan_seed(k, n, PATTERN_LOOSE_PATH_3, edges)
-    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(r, close, swaps, budget, seed)
+    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(r, swaps, close, partners, budget, seed)
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
@@ -473,52 +483,39 @@ def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> l
     return [index[(v, v + 1)] for v in range(0, n - 1, 2)]
 
 
-def _turan_steps(close, swaps, partners, folded, seed):
+def _turan_steps(swaps, partners, folded, seed):
     """The branch and bound of `turan_max_edges` as a generator on its own stack.
 
     It yields the node count on entering a node, stops there when sent a true
-    value and returns (best_count, best_sel, nodes, prunes).  Per-depth lists
-    are made on first use, since in lockstep it may stop after a few nodes.
+    value and returns (best_count, best_sel, nodes, prunes).  chosen holds the
+    included edges as bits, and word[j] is 1 if edge j is included, else 2:
+    `_lex_leader` on word with the identity renaming prunes a node whose image
+    under a vertex swap includes an edge first where the word excludes one.
     """
-    m = len(close)
+    m = len(partners)
     best_count, best_sel = len(seed), seed
-    waiting, trail = defaultdict(list), defaultdict(list)  # waiting[m] holds swaps the word equals
+    waiting = [[] for _ in range(m + 1)]
     for s in swaps:
-        waiting[s[0]].append((s + [m], 0))
+        waiting[s[0]].append((s, 0, (0, 1, 2)))
+    trail = [[] for _ in range(m)]
     threat = [0] * (m + 1)
+    word = [2] * m
     i = chosen = nodes = prunes = 0
-
-    def advance(d: int) -> bool:
-        """Compare on the swaps waiting on edge d; False if an image is greater."""
-        for s, j in waiting[d]:
-            while chosen >> s[j] & 1 == chosen >> j & 1:
-                j += 1
-                if s[j] > d:
-                    waiting[s[j]].append((s, j))
-                    trail[d].append(s[j])
-                    break
-            else:
-                if chosen >> s[j] & 1:
-                    return False
-        return True
-
     while True:
         nodes += 1
         if (yield nodes):
             break
         t = threat[i]
-        if chosen.bit_count() + m - i - (t >> i).bit_count() <= best_count or i and not advance(i - 1):
+        bound = chosen.bit_count() + m - i - (t >> i).bit_count()
+        if bound <= best_count or i and not _lex_leader(i - 1, word, None, waiting, trail):
             prunes += 1
         elif i == m:
             best_count, best_sel = chosen.bit_count(), [j for j in range(m) if chosen >> j & 1]
         else:
             if not t >> i & 1:  # inclusion first
                 chosen |= 1 << i
-                x = chosen & partners[i]
-                f = folded[i].get(x)
-                if f is None:
-                    f = folded[i][x] = _fold(close[i], x)
-                t |= f
+                word[i] = 1
+                t |= folded[i][chosen & partners[i]]
             threat[i + 1] = t
             i += 1
             continue
@@ -528,6 +525,7 @@ def _turan_steps(close, swaps, partners, folded, seed):
             i -= 1
             if chosen >> i & 1:
                 chosen ^= 1 << i
+                word[i] = 2
                 threat[i + 1] = threat[i]
                 i += 1
                 break
@@ -557,12 +555,9 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    swaps = _vertex_swaps(n, k).tolist()
-    close = _closing_table(n, k, length)
-    edges = list(itertools.combinations(range(n), k))
+    swaps, close, edges, partners = _tables(n, k, length)
     built = time.perf_counter()
-    partners = [sum(1 << p for p, _ in row) for row in close]
-    steps = _turan_steps(close, swaps, partners, [{} for _ in close], _turan_seed(k, n, pattern, edges))
+    steps = _turan_steps(swaps, partners, [_FoldMemo(row) for row in close], _turan_seed(k, n, pattern, edges))
     try:
         nodes = next(steps)
         while True:
@@ -606,13 +601,6 @@ class CnfInstance:
         if not 1 <= color <= self.r:
             raise ValueError(f"color {color} outside 1..{self.r}")
         return i * self.r + color
-
-    def variable_info(self, var: int) -> tuple[tuple[int, ...], int]:
-        """(edge, color) encoded by a DIMACS variable index."""
-        if not 1 <= var <= self.num_vars:
-            raise ValueError(f"variable {var} outside 1..{self.num_vars}")
-        i, c = divmod(var - 1, self.r)
-        return self.edges[i], c + 1
 
     def to_dimacs(self) -> str:
         lines = [f"c loose-3-path ramsey coloring instance k={self.k} n={self.n} r={self.r}"]

@@ -41,15 +41,45 @@ def test_ramsey_summary_reports_depth(capsys):
     assert out.strip() == "ramsey k=3 r=3 n=9: unknown (nodes=1001, prunes=647, max_depth=54)"
 
 
-def test_ramsey_json_payload_reproducible(capsys):
-    code, out1, _ = run(capsys, "ramsey", "--k", "2", "--r", "2", "--n", "5", "--json")
-    assert code == 0
-    code, out2, _ = run(capsys, "ramsey", "--k", "2", "--r", "2", "--n", "5", "--json")
+# Input files of the reproducibility test, written under the name each key gives.
+JSON_INPUTS = {
+    "hypergraph": "3 7 3\n0 1 2\n2 3 4\n4 5 6\n",
+    "coloring": "2 4 6 2\n0 1 1\n0 2 1\n0 3 1\n1 2 2\n1 3 2\n2 3 2\n",
+    "bipartite": json.dumps({"left": ["a", "b"], "right": ["c", "d"], "edges": [["a", "c"], ["a", "d"], ["b", "c"]]}),
+    "weights": json.dumps({"weights": {"a": "5", "b": "4", "c": "3", "d": "2", "e": "1"}}),
+    "split": json.dumps({"n": 5, "k": 3, "assignments": [[[0, 1], 2], [[3, 4], 0], [[1, 4], 3]]}),
+}
+
+
+JSON_COMMANDS = {
+    "detect-path": ["detect", "--input", "{hypergraph}", "--pattern", "loose-path-3"],
+    "detect-coloring": ["detect", "--input", "{coloring}", "--pattern", "loose-path-3", "--coloring"],
+    "detect-star": ["detect", "--input", "{hypergraph}", "--pattern", "star"],
+    "ramsey": ["ramsey", "--k", "2", "--r", "2", "--n", "5"],
+    "turan": ["turan", "--k", "3", "--n", "7", "--pattern", "loose-path-3"],
+    "construct": ["construct", "star-clique", "--k", "3", "--r", "2", "-o", "{out}"],
+    "verify-coloring": ["verify-coloring", "{coloring}"],
+    "cnf": ["cnf", "--k", "2", "--r", "2", "--n", "5", "-o", "{out}"],
+    "constants": ["constants", "--k", "167", "--r-list", "2"],
+    "bounds": ["bounds", "--k", "3", "--r", "2"],
+    "machinery-peel": ["machinery", "peel", "--input", "{hypergraph}"],
+    "machinery-prune": ["machinery", "prune", "--input", "{bipartite}"],
+    "machinery-tripartition": ["machinery", "tripartition", "--input", "{weights}"],
+    "machinery-split": ["machinery", "split", "--input", "{split}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_COMMANDS.values()), ids=list(JSON_COMMANDS))
+def test_json_payload_reproducible(tmp_path, capsys, argv):
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in JSON_INPUTS.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    argv = [a.format(**paths) for a in argv] + ["--json"]
+    (code1, out1, _), (code2, out2, _) = run(capsys, *argv), run(capsys, *argv)
+    assert code1 == code2 and code1 in (0, 1)
     r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["payload"] == r2["payload"]
-    assert r1["payload"]["verdict"] == "holds"
-    assert set(r1) == {"command", "parameters", "payload", "timing_ms", "phases_ms", "class_cap"}
-    assert sorted(r1["phases_ms"]) == ["build", "search", "verify"]
+    assert r1["payload"] and json.dumps(r1["payload"], sort_keys=True) == json.dumps(r2["payload"], sort_keys=True)
 
 
 def test_ramsey_json_reports_class_cap(capsys):
@@ -59,6 +89,8 @@ def test_ramsey_json_reports_class_cap(capsys):
     report = json.loads(out)
     assert report["class_cap"] == 9 and report["payload"]["verdict"] == "holds"
     assert sorted(report["payload"]) == ["stats", "verdict", "witness"]
+    assert set(report) == {"command", "parameters", "payload", "timing_ms", "phases_ms", "class_cap"}
+    assert sorted(report["phases_ms"]) == ["build", "search", "verify"]
 
 
 def test_detect_patterns(tmp_path, capsys):
@@ -213,6 +245,7 @@ def test_machinery_split(tmp_path, capsys):
         ("prune", [{"left": ["a"], "right": ["b"], "edges": [["a", "b"]]}]),
         ("tripartition", [{"weights": {"a": "1"}}]),
         ("split", [{"n": 2, "k": 2, "assignments": [[[1], 0]]}]),
+        ("split", {"n": 4, "k": 3, "assignments": [[[0, 1], 2], [[1, 0], 3]]}),
     ],
 )
 def test_machinery_malformed_json_is_a_usage_error(tmp_path, capsys, op, data):

@@ -86,23 +86,6 @@ def test_shadow_multiplicity_examples():
     assert Hypergraph(3, 5).shadow_multiplicity() == {}
 
 
-def test_remove_vertices():
-    h = complete_hypergraph(5, 3).remove_vertices({4})
-    assert h.n == 5 and len(h) == 4
-    assert all(4 not in e for e in h.edges)
-    k5 = complete_hypergraph(5, 3)
-    assert k5.remove_vertices(set()) == k5
-    assert len(Hypergraph(3, 4, [(0, 1, 2)]).remove_vertices({1})) == 0
-
-
-def test_remove_vertices_idempotent(rng):
-    for _ in range(25):
-        h = random_hypergraph(rng, rng.randint(3, 9), rng.randint(2, 3))
-        drop = {v for v in range(h.n) if rng.random() < 0.3}
-        once = h.remove_vertices(drop)
-        assert once.remove_vertices(drop) == once
-
-
 def test_link_size_equals_degree(rng):
     for _ in range(40):
         h = random_hypergraph(rng, rng.randint(3, 10), rng.randint(2, 4))

@@ -43,8 +43,8 @@ def test_peel_triangle_with_pendant_brute_force():
     best_ratio = Fraction(0)
     for size in range(1, h.n + 1):
         for subset in itertools.combinations(range(h.n), size):
-            sub = h.remove_vertices(set(range(h.n)) - set(subset))
-            if len(sub):
+            sub = [e for e in h.edges if set(e) <= set(subset)]
+            if sub:
                 best_ratio = max(best_ratio, Fraction(len(sub), size))
     assert best_ratio == Fraction(1)
     peeled = peel_min_degree(h)
@@ -350,6 +350,13 @@ def test_split_empty():
 def test_split_rejects_apex_inside_set():
     with pytest.raises(ValueError):
         derandomized_split({(0, 1): 1}, 4, 3)
+
+
+def test_split_rejects_a_set_given_twice():
+    # (0, 1) and (1, 0) are one 2-set; counting it twice would report
+    # proper_count 2 and expectation 8/27 for a one-set family.
+    with pytest.raises(ValueError, match="twice"):
+        derandomized_split({(0, 1): 2, (1, 0): 3}, 4, 3)
 
 
 def test_split_exact_expectation_formula(rng):

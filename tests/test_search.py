@@ -175,7 +175,7 @@ def cached_closing_table(n, k, length):
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from([(k, length) for k in (2, 3, 4) for length in (2, 3)]), st.data())
 def test_fold_matches_partner_scan(case, data):
-    # Both engines memoise `_fold(close[d], chosen & partners[d])`; it must
+    # Both engines read `_FoldMemo(close[d])[chosen & partners[d]]`; it must
     # equal the scan over the partners in the chosen set, whatever else is set.
     k, length = case
     n = data.draw(st.integers(k, 3 * k), label="n")
@@ -186,7 +186,8 @@ def test_fold_matches_partner_scan(case, data):
         others = rng.getrandbits(m) & ~sum(1 << p for p, _ in row) if m else 0
         x = sum(1 << p for p in chosen) | others
         expected = functools.reduce(operator.or_, (mask for p, mask in row if p in chosen), 0)
-        assert search._fold(row, x) == expected
+        memo = search._FoldMemo(row)
+        assert memo[x] == expected and memo == {x: expected}
 
 
 def test_index_is_cached_and_read_only():
@@ -450,10 +451,8 @@ def reference_canonical_dfs(m, r, close, budget):
 
 def reference_decide(k, r, n, budget=0):
     """(verdict, nodes, prunes, serialized witness) of the color-precedence-only engine."""
-    edges = list(itertools.combinations(range(n), k))
-    verdict, colors, nodes, prunes = reference_canonical_dfs(
-        len(edges), r, search._closing_table(n, k, 3), budget
-    )
+    _, close, edges, _ = search._tables(n, k, 3)
+    verdict, colors, nodes, prunes = reference_canonical_dfs(len(edges), r, close, budget)
     witness = serialize_coloring(Coloring(k, n, r, dict(zip(edges, colors)))) if colors else None
     return verdict, nodes, prunes, witness
 
@@ -464,9 +463,8 @@ def uncapped_decide(k, r, n, budget=0):
     No Turán search is stepped, so the tree is the one forward checking and
     the lex-leader test alone leave.
     """
-    close = search._closing_table(n, k, 3)
-    swaps = search._vertex_swaps(n, k).tolist()
-    verdict, colors, nodes, prunes, depth, cap = search._run_canonical_dfs(r, close, swaps, budget)
+    swaps, close, _, partners = search._tables(n, k, 3)
+    verdict, colors, nodes, prunes, depth, cap = search._run_canonical_dfs(r, swaps, close, partners, budget)
     assert cap == 0
     return verdict, nodes, prunes, depth, colors
 
@@ -561,6 +559,12 @@ def test_decide_matches_reference(k, r, n, budget):
     assert outcome.stats.nodes <= uncapped_nodes
 
 
+def naive_swaps(edges, n):
+    """Per swap (i i+1) of adjacent vertices, the rank of each edge's image, by definition."""
+    rank = {e: i for i, e in enumerate(edges)}
+    return [[rank[tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in e))] for e in edges] for i in range(n - 1)]
+
+
 def naive_pruned_search(k, r, n):
     """(verdict, nodes, prunes, witness colors) of the pruned search, rescanning at every node.
 
@@ -571,11 +575,7 @@ def naive_pruned_search(k, r, n):
     up to the first position it leaves undecided.
     """
     edges = list(itertools.combinations(range(n), k))
-    rank = {e: i for i, e in enumerate(edges)}
-    swaps = [
-        [rank[tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in e))] for e in edges]
-        for i in range(n - 1)
-    ]
+    swaps = naive_swaps(edges, n)
     close = search._closing_table(n, k, 3)
     colors = []
     nodes = prunes = 0
@@ -670,50 +670,37 @@ def reference_turan_max_edges(k, n, pattern, budget=0):
     """Branch and bound bounded by edges-remaining, primed with `search._turan_seed`.
 
     This was `turan_max_edges` before the addable-edge bound and the vertex
-    lex-leader pruning.
+    lex-leader pruning.  It visits the tree of that recursive search in the
+    same order, from an explicit stack of (edge index, chosen edges as bits,
+    threat mask): the exclusion child is pushed below the inclusion child.
     """
     length = search._pattern_length(pattern)
-    edges = list(itertools.combinations(range(n), k))
+    _, close, edges, _ = search._tables(n, k, length)
     m = len(edges)
-    close = search._closing_table(n, k, length)
-
-    seed = search._turan_seed(k, n, pattern, edges)
-    best_count = len(seed)
-    best_sel = list(seed)
-    selected = [False] * m
+    best_sel = search._turan_seed(k, n, pattern, edges)
     nodes = prunes = 0
-    aborted = False
-
-    def rec(i, count, threat):
-        nonlocal best_count, best_sel, nodes, prunes, aborted
-        if aborted:
-            return
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, threat = stack.pop()
         nodes += 1
         if budget and nodes > budget:
-            aborted = True
-            return
-        if count + (m - i) <= best_count:
+            break
+        if chosen.bit_count() + m - i <= len(best_sel):
             prunes += 1
-            return
-        if i == m:
-            best_count = count
-            best_sel = [j for j in range(m) if selected[j]]
-            return
-        if not threat >> i & 1:
-            selected[i] = True
-            grown = threat
-            for p, mask in close[i]:
-                if selected[p]:
-                    grown |= mask
-            rec(i + 1, count + 1, grown)
-            selected[i] = False
-        rec(i + 1, count, threat)
-
-    rec(0, 0, 0)
+        elif i == m:
+            best_sel = [j for j in range(m) if chosen >> j & 1]
+        else:
+            stack.append((i + 1, chosen, threat))
+            if not threat >> i & 1:
+                chosen |= 1 << i
+                for p, mask in close[i]:
+                    if chosen >> p & 1:
+                        threat |= mask
+                stack.append((i + 1, chosen, threat))
     extremal = Hypergraph(k, n, [edges[i] for i in best_sel])
     assert find_loose_path(extremal, length) is None
-    status = search.STATUS_LOWER_BOUND if aborted else search.STATUS_EXACT
-    return search.TuranResult(status, best_count, extremal, search.SearchStats(nodes, prunes, 0.0))
+    status = search.STATUS_LOWER_BOUND if budget and nodes > budget else search.STATUS_EXACT
+    return search.TuranResult(status, len(best_sel), extremal, search.SearchStats(nodes, prunes, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -786,6 +773,78 @@ def test_turan_matches_reference(instance):
     assert result.stats.nodes <= expected.stats.nodes
 
 
+def naive_pruned_turan(k, n, pattern, budget=0):
+    """(status, max_edges, nodes, prunes, extremal) of the pruned Turán search, rescanning at every node.
+
+    A node is pruned when its included edges plus the later edges that close
+    no copy with them cannot beat the best count, or when the image of the
+    decided inclusion word under a swap of adjacent vertices is lex-greater
+    up to the first position it leaves undecided.  Children are visited
+    inclusion first; a spent budget stops at the node that exceeds it.
+    """
+    length = search._pattern_length(pattern)
+    edges = list(itertools.combinations(range(n), k))
+    swaps = naive_swaps(edges, n)
+    close = search._closing_table(n, k, length)
+    best = search._turan_seed(k, n, pattern, edges)
+    word = []
+    nodes = prunes = 0
+
+    def threat():
+        return functools.reduce(
+            operator.or_, (mask for e in range(len(word)) for p, mask in close[e] if word[e] and word[p]), 0
+        )
+
+    def image_greater(s):
+        for j in range(len(word)):
+            if s[j] >= len(word):
+                return False
+            if word[s[j]] != word[j]:
+                return word[s[j]]
+        return False
+
+    def visit():
+        """Search the subtree of the decided word; True once the budget is spent."""
+        nonlocal best, nodes, prunes
+        nodes += 1
+        if budget and nodes > budget:
+            return True
+        d, t = len(word), threat()
+        if sum(word) + len(edges) - d - bin(t >> d).count("1") <= len(best) or any(map(image_greater, swaps)):
+            prunes += 1
+            return False
+        if d == len(edges):
+            best = [e for e in range(d) if word[e]]
+            return False
+        for include in (True, False):
+            if include and t >> d & 1:
+                continue
+            word.append(include)
+            spent = visit()
+            word.pop()
+            if spent:
+                return True
+        return False
+
+    status = "lower-bound-only" if visit() else "exact"
+    return status, len(best), nodes, prunes, serialize_hypergraph(Hypergraph(k, n, [edges[e] for e in best]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(quick_turan_instances(), st.sampled_from([0, 0, 1, 10, 100]))
+@example((3, 7, "loose-path-3"), 0)
+@example((2, 8, "loose-path-3"), 0)
+@example((3, 7, "loose-path-2"), 0)
+@example((4, 9, "loose-path-3"), 100)
+@example((4, 10, "loose-path-3"), 3000)
+def test_pruned_turan_matches_naive(instance, budget):
+    # The incremental bound and lex-leader test prune exactly where a rescan
+    # does, so the tree, the value and the extremal are the naive search's.
+    result = turan_max_edges(*instance, budget=budget)
+    tree = (result.status, result.max_edges, result.stats.nodes, result.stats.prunes)
+    assert tree + (serialize_hypergraph(result.extremal),) == naive_pruned_turan(*instance, budget)
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(quick_turan_instances(), st.integers(1, 50))
 @example((3, 8, "loose-path-3"), 500000)  # the golden row the reference leaves at 21
@@ -832,7 +891,7 @@ def test_turan_deep_tree_needs_no_recursion():
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_turan_graph_extremal_matches_reference(n):
-    # The reference takes about 0.2 s at n = 9 and 2.5 s at n = 10.
+    # The reference visits 0.5M nodes at n = 9 and 5.2M at n = 10 (about 0.3 s and 4 s).
     result = turan_max_edges(2, n, "loose-path-3")
     expected = reference_turan_max_edges(2, n, "loose-path-3")
     assert (result.status, result.max_edges) == (expected.status, expected.max_edges) == ("exact", 9)
@@ -943,10 +1002,13 @@ def test_cnf_dimacs_format():
 
 
 def test_cnf_variable_round_trip():
+    # Every "c var" comment of the DIMACS text names the variable `variable` encodes.
     inst = export_cnf(3, 2, 7)
-    for var in (1, 5, inst.num_vars):
-        edge, color = inst.variable_info(var)
-        assert inst.variable(edge, color) == var
+    comments = [l.split() for l in inst.to_dimacs().splitlines() if l.startswith("c var ")]
+    assert [int(words[2]) for words in comments] == list(range(1, inst.num_vars + 1))
+    for words in comments:
+        edge, color = tuple(map(int, words[5:-2])), int(words[-1])
+        assert inst.variable(edge, color) == int(words[2])
 
 
 def test_cnf_witness_projection():

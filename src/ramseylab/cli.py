@@ -266,9 +266,11 @@ def cmd_machinery(args, started: float) -> int:
     else:
         n, k, assignments = _json_fields(
             text, n=operator.index, k=operator.index,
-            assignments=lambda x: {tuple(map(operator.index, f)): operator.index(v) for f, v in x},
+            assignments=lambda x: [(tuple(map(operator.index, f)), operator.index(v)) for f, v in x],
         )
-        split = derandomized_split(assignments, n, k)
+        if len({f for f, _ in assignments}) < len(assignments):
+            raise ValueError("a set is given twice in 'assignments'")
+        split = derandomized_split(dict(assignments), n, k)
         payload = {
             "u1": list(split.u1),
             "u2": list(split.u2),

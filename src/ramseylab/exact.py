@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
+from typing import Callable
 
 RationalLike = Fraction | int | str
 
@@ -30,14 +31,6 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def scaled(self, factor: Fraction | int) -> "Interval":
-        if factor < 0:
-            raise ValueError("scaling by a negative factor would flip the interval")
-        return Interval(self.lo * factor, self.hi * factor)
 
 
 def integer_nth_root(x: int, m: int) -> tuple[int, bool]:
@@ -93,10 +86,12 @@ def nth_root_interval(q: RationalLike, m: int, precision: RationalLike) -> Inter
     return Interval(cell * top / 2**steps, (cell + 1) * top / 2**steps)
 
 
-def _root_arguments(
-    b: RationalLike, k: int, n: int, precision: RationalLike
-) -> tuple[Fraction, Fraction]:
-    """The radicand b/(k-1) and the precision, once both bounds' arguments check out."""
+def _root_image(b, k, n, precision, scale_of: Callable[[], int], power: int, flip: bool) -> Interval:
+    """Enclose y^power * scale_of() for y = 1 - x if `flip` else x, where x = (b/(k-1))^(1/(k-2)).
+
+    y^power is monotone and x lies in [0, 1] (b/(k-1) <= 1), so the root's enclosure maps
+    endpoint by endpoint; the root's precision halves until the image is within `precision`.
+    """
     b = Fraction(b)
     precision = Fraction(precision)
     if k < 3:
@@ -107,7 +102,18 @@ def _root_arguments(
         raise ValueError(f"need 0 < b <= k-1, got b={b}, k={k}")
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    return b / (k - 1), precision
+    scale = scale_of()
+    if scale == 0:
+        return Interval(Fraction(0), Fraction(0))
+    q = b / (k - 1)
+    eps = precision / (power * scale)
+    while True:
+        root = nth_root_interval(q, k - 2, eps)
+        ends = (1 - root.hi, 1 - root.lo) if flip else (root.lo, root.hi)
+        lo, hi = (y**power * scale for y in ends)
+        if hi <= lo + precision:  # hi - lo would take a gcd of huge denominators
+            return Interval(lo, hi)
+        eps /= 2
 
 
 def star_deficiency_bound(
@@ -119,20 +125,7 @@ def star_deficiency_bound(
     hypergraph can keep away from a vertex of degree >= b * C(n-1, k-1).
     Requires k >= 3 and 0 < b <= k-1.
     """
-    q, precision = _root_arguments(b, k, n, precision)
-    scale = comb(n - 1, k - 1)
-    if scale == 0:
-        return Interval(Fraction(0), Fraction(0))
-    # (1 - x)^(k-1) * scale is decreasing in x on [0, 1]; the root bracket
-    # stays inside [0, 1] because q <= 1.
-    eps = precision / ((k - 1) * scale)
-    while True:
-        root = nth_root_interval(q, k - 2, eps)
-        lo = (1 - root.hi) ** (k - 1) * scale
-        hi = (1 - root.lo) ** (k - 1) * scale
-        if hi <= lo + precision:  # hi - lo would take a gcd of huge denominators
-            return Interval(lo, hi)
-        eps /= 2
+    return _root_image(b, k, n, precision, lambda: comb(n - 1, k - 1), k - 1, flip=True)
 
 
 def link_support_lower_bound(
@@ -143,14 +136,4 @@ def link_support_lower_bound(
     This is the guaranteed vertex-support size of a sub-link whose minimum
     degree reaches b/(k-1) * C(n-2, k-2).  Requires k >= 3 and 0 < b <= k-1.
     """
-    q, precision = _root_arguments(b, k, n, precision)
-    scale = n - 1
-    if scale == 0:
-        return Interval(Fraction(0), Fraction(0))
-    eps = precision / scale
-    while True:
-        root = nth_root_interval(q, k - 2, eps)
-        result = root.scaled(scale)
-        if result.width <= precision:
-            return result
-        eps /= 2
+    return _root_image(b, k, n, precision, lambda: n - 1, 1, flip=False)

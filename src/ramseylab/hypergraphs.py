@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -102,30 +101,6 @@ class Hypergraph:
         for e in self._edges:
             seen.update(e)
         return tuple(sorted(seen))
-
-    def link(self, v: int) -> Hypergraph:
-        """(k-1)-uniform link of v: the edge remainders of edges through v.
-
-        The vertex range is preserved, so |edges(link)| == degree(v).
-        """
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        remainders = [tuple(u for u in e if u != v) for e in self._edges if v in e]
-        return Hypergraph(self.k - 1, self.n, remainders)
-
-    def shadow(self) -> Hypergraph:
-        """All (k-1)-subsets contained in some edge."""
-        return Hypergraph(self.k - 1, self.n, self.shadow_multiplicity())
-
-    def shadow_multiplicity(self) -> dict[tuple[int, ...], int]:
-        """Map each (k-1)-shadow set to the number of edges containing it."""
-        if self.k < 2:
-            raise ValueError("shadow needs uniformity at least 2")
-        counts: Counter = Counter()
-        for e in self._edges:
-            for f in itertools.combinations(e, self.k - 1):
-                counts[f] += 1
-        return dict(counts)
 
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:

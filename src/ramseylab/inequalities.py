@@ -10,7 +10,8 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable
@@ -66,20 +67,13 @@ class IneqReport:
     def to_json_obj(self) -> list[dict]:
         return [rec.to_json_obj() for rec in self.records]
 
-def _compare(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
-    if relation == "<":
-        return lhs < rhs
-    if relation == ">":
-        return lhs > rhs
-    if relation == ">=":
-        return lhs >= rhs
-    raise ValueError(f"unknown relation {relation!r}")
+_COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge}
 
 
 def _record(name, params, relation, lhs, rhs, asymptotic=False) -> IneqRecord:
     lhs = Fraction(lhs)
     rhs = Fraction(rhs)
-    return IneqRecord(name, params, relation, lhs, rhs, _compare(relation, lhs, rhs), asymptotic)
+    return IneqRecord(name, params, relation, lhs, rhs, _COMPARE[relation](lhs, rhs), asymptotic)
 
 
 def verify_constant_inequalities(
@@ -91,7 +85,7 @@ def verify_constant_inequalities(
       k_below_geometric        k < (99/96)^k
       shrink_factor_floor      1 - 1/A >= 99/100
       fractional_power_step    0.96^(k/(k-1)) > 0.96^2 > 9/10, decided via the
-                               exponent comparison k < 2(k-1) and 576/625 > 9/10
+                               exponent step k < 2(k-1) (true for k >= 3) and 576/625 > 9/10
       tail_power_bound         (1/10)^(k-2) * (k-1) < (9/10)^k
       shadow_average_excess    (k-1)/(32k) * (24/25)^(2k) > (9/10)^k
       triple_split_margin      (9/10)^k < (24/25)^k / (144k)
@@ -115,17 +109,12 @@ def verify_constant_inequalities(
     records.append(
         _record("shrink_factor_floor", {"A": A}, ">=", 1 - Fraction(1, A), Fraction(99, 100))
     )
-    exponent_step_ok = k < 2 * (k - 1)
-    square_step = _record(
-        "fractional_power_step",
-        {"k": k, "exponent_step_ok": exponent_step_ok},
-        ">",
-        TWENTYFOUR_25THS**2,
-        NINE_TENTHS,
+    records.append(
+        _record(
+            "fractional_power_step", {"k": k, "exponent_step_ok": k < 2 * (k - 1)}, ">",
+            TWENTYFOUR_25THS**2, NINE_TENTHS,
+        )
     )
-    if not exponent_step_ok:
-        square_step = replace(square_step, holds=False)
-    records.append(square_step)
     records.append(
         _record(
             "tail_power_bound", {"k": k}, "<",

@@ -150,9 +150,6 @@ class Coloring:
         self.r = r
         self._assignment = canon
 
-    def color_of(self, edge: Sequence[int]) -> int:
-        return self._assignment[tuple(sorted(edge))]
-
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(edge, color) pairs in lexicographic edge order."""
         for e in sorted(self._assignment):

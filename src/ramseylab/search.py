@@ -596,12 +596,6 @@ class CnfInstance:
     def num_vars(self) -> int:
         return len(self.edges) * self.r
 
-    def variable(self, edge: tuple[int, ...], color: int) -> int:
-        i = self.edges.index(tuple(sorted(edge)))
-        if not 1 <= color <= self.r:
-            raise ValueError(f"color {color} outside 1..{self.r}")
-        return i * self.r + color
-
     def to_dimacs(self) -> str:
         lines = [f"c loose-3-path ramsey coloring instance k={self.k} n={self.n} r={self.r}"]
         for i, e in enumerate(self.edges):

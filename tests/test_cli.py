@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,30 @@ def test_json_payload_reproducible(tmp_path, capsys, argv):
     assert code1 == code2 and code1 in (0, 1)
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["payload"] and json.dumps(r1["payload"], sort_keys=True) == json.dumps(r2["payload"], sort_keys=True)
+
+
+# Commands whose --json payload (and DIMACS file) must match golden_payloads.json
+# byte for byte; the timing keys lie outside the payload.
+GOLDEN_COMMANDS = {
+    "ramsey-3-3-9": ["ramsey", "--k", "3", "--r", "3", "--n", "9"],
+    "ramsey-2-4-8": ["ramsey", "--k", "2", "--r", "4", "--n", "8"],
+    "turan-3-8-lp3": ["turan", "--k", "3", "--n", "8", "--pattern", "loose-path-3"],
+    "cnf-3-2-7": ["cnf", "--k", "3", "--r", "2", "--n", "7", "-o", "{out}"],
+    "constants-167": ["constants", "--k", "167", "--r-list", "1", "2", "3"],
+    "bounds-3-2": ["bounds", "--k", "3", "--r", "2"],
+}
+GOLDEN = json.loads((Path(__file__).parent / "golden_payloads.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_COMMANDS))
+def test_json_payload_matches_golden(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    code, text, _ = run(capsys, *[a.format(out=out) for a in GOLDEN_COMMANDS[name]], "--json")
+    assert code in (0, 1)
+    payload = json.loads(text)["payload"]
+    assert json.dumps(payload, sort_keys=True) == json.dumps(GOLDEN["payloads"][name], sort_keys=True)
+    if name in GOLDEN["dimacs_sha256"]:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["dimacs_sha256"][name]
 
 
 def test_ramsey_json_reports_class_cap(capsys):
@@ -246,6 +272,7 @@ def test_machinery_split(tmp_path, capsys):
         ("tripartition", [{"weights": {"a": "1"}}]),
         ("split", [{"n": 2, "k": 2, "assignments": [[[1], 0]]}]),
         ("split", {"n": 4, "k": 3, "assignments": [[[0, 1], 2], [[1, 0], 3]]}),
+        ("split", {"n": 4, "k": 3, "assignments": [[[0, 1], 2], [[0, 1], 3]]}),
     ],
 )
 def test_machinery_malformed_json_is_a_usage_error(tmp_path, capsys, op, data):

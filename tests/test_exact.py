@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -50,7 +52,7 @@ def test_nth_root_nesting():
     q = Fraction(5, 9)
     coarse = nth_root_interval(q, 4, Fraction(1, 100))
     fine = nth_root_interval(q, 4, Fraction(1, 10**9))
-    assert coarse.encloses(fine)
+    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
 def test_star_deficiency_exact_at_top():
@@ -119,10 +121,10 @@ def test_composed_bounds_nest_under_refinement():
     b = Fraction(7, 10)
     coarse = star_deficiency_bound(b, 5, 12, Fraction(1, 10**3))
     fine = star_deficiency_bound(b, 5, 12, Fraction(1, 10**9))
-    assert coarse.encloses(fine)
+    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
     coarse = link_support_lower_bound(b, 5, 12, Fraction(1, 10**3))
     fine = link_support_lower_bound(b, 5, 12, Fraction(1, 10**9))
-    assert coarse.encloses(fine)
+    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
 def test_composite_monotone_consistency():
@@ -230,3 +232,68 @@ def test_star_deficiency_large_n():
     scale = comb(n - 1, k - 1)
     derived = Interval((1 - x_hi) ** (k - 1) * scale, (1 - x_lo) ** (k - 1) * scale)
     assert derived.lo <= deficiency.hi and deficiency.lo <= derived.hi
+
+
+# Endpoints of bisected cases, taken before the two bounds shared one
+# refinement loop: they pin where the refinement stops, not only its width.
+@pytest.mark.parametrize(
+    "bound, b, k, n, digits, lo, hi",
+    [
+        (star_deficiency_bound, Fraction(6561, 10000), 4, 4, 3,
+         Fraction(161878625, 1073741824),
+         Fraction(10374495741, 68719476736)),
+        (link_support_lower_bound, Fraction(6561, 10000), 4, 4, 3,
+         Fraction(5745, 4096),
+         Fraction(1437, 1024)),
+        (star_deficiency_bound, Fraction(6561, 10000), 4, 4, 9,
+         Fraction(11952596514870278849744283311, 79228162514264337593543950336),
+         Fraction(2918114387342111609185113, 19342813113834066795298816)),
+        (link_support_lower_bound, Fraction(6561, 10000), 4, 4, 9,
+         Fraction(376604517, 268435456),
+         Fraction(6025672275, 4294967296)),
+        (star_deficiency_bound, Fraction(1), 5, 101, 3,
+         Fraction(400288778186405019816912106700769215228637225, 5444517870735015415413993718908291383296),
+         Fraction(6404620455012298763267068866548701498916015625, 87112285931760246646623899502532662132736)),
+        (link_support_lower_bound, Fraction(1), 5, 101, 3,
+         Fraction(1032125, 16384),
+         Fraction(2064275, 32768)),
+        (star_deficiency_bound, Fraction(1), 5, 101, 9,
+         Fraction(483919439348690293884073979451273849071478883262931550102967913759225, 6582018229284824168619876730229402019930943462534319453394436096),
+         Fraction(7742711029579049348209529555801495375370128978999021666980432055765625, 105312291668557186697918027683670432318895095400549111254310977536)),
+        (link_support_lower_bound, Fraction(1), 5, 101, 9,
+         Fraction(2164527881925, 34359738368),
+         Fraction(1082263940975, 17179869184)),
+        (star_deficiency_bound, Fraction(7, 10), 5, 12, 3,
+         Fraction(120337033652710115969455365, 9671406556917033397649408),
+         Fraction(7521097157805366091083765, 604462909807314587353088)),
+        (link_support_lower_bound, Fraction(7, 10), 5, 12, 3,
+         Fraction(25201, 4096),
+         Fraction(100815, 16384)),
+        (star_deficiency_bound, Fraction(7, 10), 5, 12, 9,
+         Fraction(145478939885421823163773632468826661556183487126965, 11692013098647223345629478661730264157247460343808),
+         Fraction(9092433742876396758613668204353575627601750353125, 730750818665451459101842416358141509827966271488)),
+        (link_support_lower_bound, Fraction(7, 10), 5, 12, 9,
+         Fraction(105704113251, 17179869184),
+         Fraction(52852056631, 8589934592)),
+    ],
+)
+def test_bisected_bound_endpoints(bound, b, k, n, digits, lo, hi):
+    assert bound(b, k, n, Fraction(1, 10**digits)) == Interval(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "bound, digest",
+    [
+        (star_deficiency_bound, "861c23942578c0846c5389eedf43e41c6b15bb3a727890c6f5e9c7edc09e535c"),
+        (link_support_lower_bound, "356b309b0c700fa0ecaef926da3c02d3a439a270b5e7c87eda4c4ad18e74c437"),
+    ],
+)
+def test_benchmark_bound_endpoints(bound, digest):
+    iv = bound(Fraction(1, 2), 250, 1000, Fraction(1, 10**6))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the k = 250 endpoints run past the default cap
+    try:
+        text = f"{iv.lo} {iv.hi}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

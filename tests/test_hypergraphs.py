@@ -58,50 +58,6 @@ def test_max_degree_examples():
     assert Hypergraph(3, 4).max_degree() == (0, 0)
 
 
-def test_link_examples():
-    assert complete_hypergraph(4, 3).link(3).edges == ((0, 1), (0, 2), (1, 2))
-    h = Hypergraph(3, 6, [(0, 1, 2)])
-    assert h.link(5).edges == ()
-    star = Hypergraph(3, 6, [(0,) + rest for rest in itertools.combinations(range(1, 6), 2)])
-    assert star.link(0).edges == tuple(itertools.combinations(range(1, 6), 2))
-
-
-def test_shadow_examples():
-    assert Hypergraph(3, 3, [(0, 1, 2)]).shadow().edges == ((0, 1), (0, 2), (1, 2))
-    assert Hypergraph(3, 5).shadow().edges == ()
-    # {012, 013}: subsets 01 02 12 / 01 03 13 -> five distinct sets
-    assert len(Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)]).shadow()) == 5
-
-
-def test_shadow_multiplicity_examples():
-    mult = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)]).shadow_multiplicity()
-    assert mult[(0, 1)] == 2
-    assert sum(1 for v in mult.values() if v == 1) == 4
-    star = Hypergraph(3, 5, [(0,) + rest for rest in itertools.combinations(range(1, 5), 2)])
-    mult = star.shadow_multiplicity()
-    for x in range(1, 5):
-        assert mult[(0, x)] == 3
-    for x, y in itertools.combinations(range(1, 5), 2):
-        assert mult[(x, y)] == 1
-    assert Hypergraph(3, 5).shadow_multiplicity() == {}
-
-
-def test_link_size_equals_degree(rng):
-    for _ in range(40):
-        h = random_hypergraph(rng, rng.randint(3, 10), rng.randint(2, 4))
-        for v in range(h.n):
-            assert len(h.link(v)) == h.degree(v)
-
-
-def test_shadow_bounds(rng):
-    for _ in range(40):
-        h = random_hypergraph(rng, rng.randint(4, 10), rng.randint(3, 4))
-        shadow = h.shadow()
-        assert len(shadow) <= h.k * len(h)
-        assert all(v >= 1 for v in h.shadow_multiplicity().values())
-        assert set(shadow.edges) == set(h.shadow_multiplicity())
-
-
 def test_complete_degrees_uniform():
     for n, k in [(5, 2), (6, 3), (7, 4)]:
         h = complete_hypergraph(n, k)

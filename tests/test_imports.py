@@ -3,13 +3,16 @@
 No linter ships with the test environment, so this stands in for the
 unused-import check: deleting the last use of an import fails here.
 `__init__.py` is exempt, since its imports are the package's re-exports,
-and so is `from __future__ import ...`.
+and so is `from __future__ import ...`; instead its `__all__` must name
+exactly what it imports, so `from ramseylab import *` keeps working.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import ramseylab
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "ramseylab").glob("*.py"))
 
@@ -37,3 +40,10 @@ def test_detects_an_unused_import():
         "line 1: os",
         "line 2: comb",
     ]
+
+
+def test_all_names_the_init_imports():
+    tree = ast.parse(Path(ramseylab.__file__).read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert len(set(ramseylab.__all__)) == len(ramseylab.__all__)
+    assert set(ramseylab.__all__) == set(imported)

@@ -340,8 +340,9 @@ def _subset_checker(rows, edges):
     """Stand-in for find_mono_loose_path that knows only the given copies."""
 
     def find(coloring, length):
+        color_of = dict(coloring.items())
         for row in rows:
-            colors = {coloring.color_of(edges[i]) for i in row}
+            colors = {color_of[edges[i]] for i in row}
             if len(colors) == 1:
                 return colors.pop(), row
         return None
@@ -1002,20 +1003,20 @@ def test_cnf_dimacs_format():
 
 
 def test_cnf_variable_round_trip():
-    # Every "c var" comment of the DIMACS text names the variable `variable` encodes.
+    # Every "c var" comment of the DIMACS text names variable i*r + c of edge i, color c.
     inst = export_cnf(3, 2, 7)
     comments = [l.split() for l in inst.to_dimacs().splitlines() if l.startswith("c var ")]
     assert [int(words[2]) for words in comments] == list(range(1, inst.num_vars + 1))
     for words in comments:
         edge, color = tuple(map(int, words[5:-2])), int(words[-1])
-        assert inst.variable(edge, color) == int(words[2])
+        assert inst.edges.index(edge) * inst.r + color == int(words[2])
 
 
 def test_cnf_witness_projection():
     # the decide witness, read as a one-hot assignment, satisfies every clause
     inst = export_cnf(2, 2, 4)
     witness = decide_ramsey(2, 2, 4).witness
-    true_vars = {inst.variable(e, c) for e, c in witness.items()}
+    true_vars = {inst.edges.index(e) * inst.r + c for e, c in witness.items()}
     for clause in inst.clauses:
         assert any(
             (lit > 0 and lit in true_vars) or (lit < 0 and -lit not in true_vars)

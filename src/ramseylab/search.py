@@ -386,33 +386,40 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     return SearchOutcome(verdict, witness, stats)
 
 
-def _low_block(m: int, r: int) -> tuple[int, np.ndarray]:
-    """Prefix length m - L and the (L, r^L) colors of the last L edges.
+def _low_block(m: int, r: int) -> tuple[int, list[list[int]]]:
+    """Prefix length h = m - L and the color bitsets eq of the last L edges.
 
-    L is the largest count (at most m) with r^L <= _CHUNK.  Column j holds
-    the j-th low coloring in lexicographic order (0-based colors), so prefix
-    coloring p followed by column j is coloring p * r^L + j overall.
+    L is the largest count (at most m) with r^L <= _CHUNK.  Bit j of eq[e][c]
+    is set when low edge e (edge h + e) has color c (0-based) in the j-th low
+    coloring in lexicographic order, so prefix coloring p followed by low
+    coloring j is coloring p * r^L + j overall.
     """
     low = 0
     while low < m and r ** (low + 1) <= _CHUNK:
         low += 1
-    digits = np.arange(r, dtype=np.uint8)
-    cols = np.empty((low, r**low), dtype=np.uint8)
-    for j in range(low):
-        cols[j] = np.tile(np.repeat(digits, r ** (low - 1 - j)), r**j)
-    return m - low, cols
+    full = (1 << r**low) - 1
+    eq = []
+    for e in range(low):
+        width = r ** (low - 1 - e)  # run of one color; the runs cycle through 0..r-1
+        x, period = (1 << width) - 1, r * width
+        while period < r**low:
+            x |= x << period
+            period *= 2
+        eq.append([x << c * width & full for c in range(r)])
+    return m - low, eq
 
 
 def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     """Unpruned oracle: enumerate all r^C(n,k) colorings and test each one.
 
     Colorings are visited in lexicographic order as prefix colorings of the
-    first edges times a block of low-edge columns built once.  Copies inside
-    the low block are folded into one mask up front; copies touching the
-    prefix are folded once per (prefix edges, color), and a prefix coloring
-    adds the masks whose prefix edges all take that color.
-    Refuses instances with more than 10^8 colorings.  Kept deliberately
-    independent of the backtracking engine so the two can cross-check.
+    first edges times a block of low colorings, one bit each in the bitsets
+    of `_low_block`.  Copies inside the low block are folded into one mask
+    up front; copies touching the prefix are folded once per (prefix edges,
+    color), and a prefix coloring adds the masks whose prefix edges all take
+    that color.  Refuses instances with more than 10^8 colorings.  Kept
+    deliberately independent of the backtracking engine so the two can
+    cross-check.
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
@@ -424,40 +431,34 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
         )
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
-    h, cols = _low_block(m, r)
-    span = cols.shape[1]
-    bad_low = np.zeros(span, dtype=bool)
+    h, eq = _low_block(m, r)
+    span = r ** (m - h)
+    full, bad_low = (1 << span) - 1, 0
     # closes[high, c]: the low colorings in which some copy with prefix edges
     # `high` has all its low edges in color c (all of them if it has none).
-    closes: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+    closes: dict[tuple[tuple[int, ...], int], int] = {}
     for tup in zip(*(col.tolist() for col in _loose_path_index(n, k, 3).T)):
         high = tuple(sorted(e for e in tup if e < h))
-        low = [cols[e - h] for e in tup if e >= h]
-        if not high:
-            a, b, t = low
-            bad_low |= (a == b) & (b == t)
-            if bad_low.all():
-                break  # every coloring already has a copy inside the low block
-            continue
+        low = [eq[e - h] for e in tup if e >= h]
         for c in range(r):
-            hit = np.ones(span, dtype=bool)
-            for row in low:
-                hit &= row == c
-            if (high, c) in closes:
-                closes[high, c] |= hit
+            hit = functools.reduce(operator.and_, [row[c] for row in low]) if low else full
+            if high:
+                closes[high, c] = closes.get((high, c), 0) | hit
             else:
-                closes[high, c] = hit
+                bad_low |= hit
+        if bad_low == full:
+            break  # every coloring already has a copy inside the low block
 
     witness_colors = None
     examined = total
     for i, prefix in enumerate(itertools.product(range(r), repeat=h)):
-        bad = bad_low.copy()
+        bad = bad_low
         for (high, c), mask in closes.items():
             if all(prefix[e] == c for e in high):
                 bad |= mask
-        if not bad.all():
-            pos = int(np.argmin(bad))
-            witness_colors = [v + 1 for v in prefix] + [int(v) + 1 for v in cols[:, pos]]
+        if bad != full:
+            pos = (~bad & (bad + 1)).bit_length() - 1
+            witness_colors = [v + 1 for v in prefix] + [pos // r**j % r + 1 for j in reversed(range(m - h))]
             examined = i * span + pos + 1
             break
 
@@ -632,7 +633,8 @@ def cnf_satisfiable(instance: CnfInstance) -> bool:
     low block are folded into one mask up front; clauses touching the prefix
     are grouped by their prefix literals, and a prefix coloring that falsifies
     a group's literals keeps only the low colorings satisfying the rest of
-    every clause in it.  Refuses instances with more than 10^8 colorings.
+    every clause in it.  Refuses instances with more than 10^8 colorings,
+    and with ValueError a literal that is 0 or names no variable.
     """
     m = len(instance.edges)
     r = instance.r
@@ -641,44 +643,40 @@ def cnf_satisfiable(instance: CnfInstance) -> bool:
         raise InstanceTooLargeError(
             f"r^m = {total} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}"
         )
-    h, cols = _low_block(m, r)
-    span = cols.shape[1]
-    # Masks are filled in place: a fresh temporary of this size per literal
-    # would fault in new pages every time.
-    scratch, sat, alive = (np.empty(span, dtype=bool) for _ in range(3))
-
-    def satisfied(literals, out):
-        out.fill(False)
-        for row, c, positive in literals:
-            out |= (np.equal if positive else np.not_equal)(row, c, out=scratch)
-        return out
-
-    alive_low = np.ones(span, dtype=bool)
-    touching: dict[tuple[tuple[int, int, bool], ...], np.ndarray] = {}
+    v = instance.num_vars
+    stray = {lit for clause in instance.clauses for lit in clause}.difference(range(-v, 0), range(1, v + 1))
+    if stray:
+        raise ValueError(f"literals must be nonzero with |lit| <= {v}, got {sorted(stray)}")
+    h, eq = _low_block(m, r)
+    full = alive_low = (1 << r ** (m - h)) - 1
+    touching: dict[tuple[tuple[int, int, bool], ...], int] = {}
     for clause in instance.clauses:
-        high, low = [], []
+        # Its low literals are all false where every negative one's color
+        # is taken (neg) and no positive one's (pos).
+        high, pos, neg = [], 0, full
         for lit in clause:
             e, c = divmod(abs(lit) - 1, r)
             if e < h:
                 high.append((e, c, lit > 0))
+            elif lit > 0:
+                pos |= eq[e - h][c]
             else:
-                low.append((cols[e - h], c, lit > 0))
+                neg &= eq[e - h][c]
+        sat = pos | full ^ neg
         key = tuple(high)
-        if key in touching:
-            touching[key] &= satisfied(low, sat)
-        elif key:
-            touching[key] = satisfied(low, np.empty(span, dtype=bool))
+        if key:
+            touching[key] = touching.get(key, full) & sat
         else:
-            alive_low &= satisfied(low, sat)
-            if not alive_low.any():
+            alive_low &= sat
+            if not alive_low:
                 return False
     for prefix in itertools.product(range(r), repeat=h):
-        np.copyto(alive, alive_low)
+        alive = alive_low
         for high, mask in touching.items():
             if any((prefix[e] == c) == positive for e, c, positive in high):
                 continue
             alive &= mask
-            if not alive.any():
+            if not alive:
                 break
         else:
             return True

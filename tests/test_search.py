@@ -298,9 +298,28 @@ def test_oracles_independent_of_chunk(monkeypatch):
     # block; at (2,3,5) the witness then lies past the first block.
     expected = {args: _oracle_answers(*args) for args in SMALL_ORACLE_INSTANCES}
     monkeypatch.setattr(search, "_CHUNK", 16)
-    assert search._low_block(10, 3)[1].shape == (2, 9)
+    h, eq = search._low_block(10, 3)
+    assert (h, len(eq)) == (8, 2) and all(row[0] | row[1] | row[2] == (1 << 9) - 1 for row in eq)
     for args in SMALL_ORACLE_INSTANCES:
         assert _oracle_answers(*args) == expected[args], args
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 16])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_low_block_matches_digits(monkeypatch, chunk, r):
+    # Bit j of eq[e][c] is set exactly when digit e (most significant first)
+    # of j written in base r is c; chunk 1 and r = 1 leave no low colorings
+    # beyond the single empty or all-zero one.
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    for m in range(9):
+        h, eq = search._low_block(m, r)
+        low = m - h
+        assert len(eq) == low and r**low <= search._CHUNK and (low == m or r ** (low + 1) > search._CHUNK)
+        for e, row in enumerate(eq):
+            digits = [j // r ** (low - 1 - e) % r for j in range(r**low)]
+            expected = ["".join("1" if d == c else "0" for d in digits) for c in range(r)]
+            assert [format(bits, f"0{r**low}b")[::-1] for bits in row] == expected
 
 
 def brute_force_first_free(k, r, n):
@@ -987,6 +1006,36 @@ def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
             for colors in itertools.product(range(r), repeat=len(edges))
         )
         assert cnf_satisfiable(CnfInstance(2, 4, r, edges, clauses, 0)) == expected, clauses
+
+
+def test_cnf_rejects_stray_literals():
+    # Unchecked, a literal 0 decodes to edge -1, the last prefix edge, so K_7
+    # with the at-least-one clauses and (0,) would answer True, and |lit| past
+    # num_vars would raise a bare IndexError.
+    base = export_cnf(2, 2, 7)
+    cover = base.clauses[: len(base.edges)]
+    assert cnf_satisfiable(CnfInstance(2, 7, 2, base.edges, cover, 0))
+    for stray in [(0,), (1, 0), (base.num_vars + 1,), (-base.num_vars - 1, 2)]:
+        instance = CnfInstance(2, 7, 2, base.edges, cover + (stray,), 0)
+        with pytest.raises(ValueError, match="literal"):
+            cnf_satisfiable(instance)
+    assert cnf_satisfiable(CnfInstance(2, 7, 2, base.edges, cover + ((base.num_vars,), (-1,)), 0))
+
+
+@pytest.mark.parametrize("k, r, n", [(3, 2, 6), (2, 2, 7)])
+def test_oracle_peak_memory(k, r, n):
+    # Each oracle keeps r bitsets per low edge and a few masks of r^L bits:
+    # about 6 MiB at these 2^20- and 2^21-coloring instances.
+    search._loose_path_index(n, k, 3)
+    instance = export_cnf(k, r, n)
+    for call in (lambda: exhaustive_decide(k, r, n), lambda: cnf_satisfiable(instance)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 def test_cnf_dimacs_format():

@@ -110,8 +110,8 @@ def enumerate_loose_paths(
     index = _loose_path_index(n, k, length)
     if not len(index):
         return []
-    edges = list(itertools.combinations(range(n), k))
-    return list(zip(*([edges[i] for i in col.tolist()] for col in index.T)))
+    edges = np.fromiter(itertools.combinations(range(n), k), dtype=object, count=comb(n, k))
+    return list(zip(*(edges[col].tolist() for col in index.T)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -431,13 +431,14 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
         )
     start = time.perf_counter()
     edges = list(itertools.combinations(range(n), k))
-    h, eq = _low_block(m, r)
+    index = _loose_path_index(n, k, 3)
+    h, eq = _low_block(m, r) if len(index) else (m, [])  # no copy: the first coloring is the witness
     span = r ** (m - h)
     full, bad_low = (1 << span) - 1, 0
     # closes[high, c]: the low colorings in which some copy with prefix edges
     # `high` has all its low edges in color c (all of them if it has none).
     closes: dict[tuple[tuple[int, ...], int], int] = {}
-    for tup in zip(*(col.tolist() for col in _loose_path_index(n, k, 3).T)):
+    for tup in zip(*(col.tolist() for col in index.T)):
         high = tuple(sorted(e for e in tup if e < h))
         low = [eq[e - h] for e in tup if e >= h]
         for c in range(r):
@@ -467,11 +468,8 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
         witness = Coloring(k, n, r, {e: c for e, c in zip(edges, witness_colors)})
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("exhaustive enumeration produced an invalid witness")
-        verdict = VERDICT_FAILS
-    else:
-        verdict = VERDICT_HOLDS
-    stats = SearchStats(examined, 0, time.perf_counter() - start)
-    return SearchOutcome(verdict, witness, stats)
+    verdict = VERDICT_HOLDS if witness is None else VERDICT_FAILS
+    return SearchOutcome(verdict, witness, SearchStats(examined, 0, time.perf_counter() - start))
 
 
 def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> list[int]:
@@ -598,28 +596,30 @@ class CnfInstance:
         return len(self.edges) * self.r
 
     def to_dimacs(self) -> str:
-        lines = [f"c loose-3-path ramsey coloring instance k={self.k} n={self.n} r={self.r}"]
+        """DIMACS text; each run of equal-length clauses is written by one `%` call."""
+        text = [f"c loose-3-path ramsey coloring instance k={self.k} n={self.n} r={self.r}\n"]
         for i, e in enumerate(self.edges):
             for c in range(1, self.r + 1):
-                lines.append(f"c var {i * self.r + c} = edge {' '.join(map(str, e))} color {c}")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(map(str, clause)) + " 0")
-        return "\n".join(lines) + "\n"
+                text.append(f"c var {i * self.r + c} = edge {' '.join(map(str, e))} color {c}\n")
+        text.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
+        for size, group in itertools.groupby(self.clauses, len):
+            run = tuple(group)
+            text.append((" ".join(["%d"] * size) + " 0\n") * len(run) % tuple(itertools.chain.from_iterable(run)))
+        return "".join(text)
 
 
 def export_cnf(k: int, r: int, n: int) -> CnfInstance:
-    """Build the CNF whose satisfiability means n is below the Ramsey number."""
+    """Build the CNF whose satisfiability means n is below the Ramsey number.
+
+    Its negative literals -(e*r + c), per copy and color c, are built as one (copies, r, 3) array.
+    """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
     edges = tuple(itertools.combinations(range(n), k))
-    triples = np.sort(_loose_path_index(n, k, 3), axis=1)
-    clauses: list[tuple[int, ...]] = []
-    for i in range(len(edges)):
-        clauses.append(tuple(i * r + c for c in range(1, r + 1)))
-    for a, b, t in zip(*(col.tolist() for col in triples.T)):
-        for c in range(1, r + 1):
-            clauses.append((-(a * r + c), -(b * r + c), -(t * r + c)))
+    triples = np.sort(_loose_path_index(n, k, 3), axis=1).astype(np.int64)
+    neg = -(triples[:, None, :] * r + np.arange(1, r + 1)[:, None])
+    clauses = [tuple(range(i * r + 1, i * r + r + 1)) for i in range(len(edges))]
+    clauses += zip(*neg.reshape(-1, 3).T.tolist())
     return CnfInstance(k, n, r, edges, tuple(clauses), len(triples))
 
 

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import hashlib
 import itertools
 import operator
 import time
@@ -141,13 +142,56 @@ def test_index_matches_reference_walk(k):
 
 
 def test_export_cnf_matches_reference_walk():
-    k, r, n = 3, 2, 7
+    # (3,2,6) holds no copy, so only the at-least-one clauses are left.
+    for k, r, n in [(3, 1, 7), (3, 2, 7), (3, 3, 7), (2, 3, 6), (3, 2, 6)]:
+        edges = tuple(itertools.combinations(range(n), k))
+        triples = [sorted(t) for t in reference_index_tuples(edges, 3)]
+        clauses = [tuple(i * r + c for c in range(1, r + 1)) for i in range(len(edges))]
+        clauses += [tuple(-(e * r + c) for e in t) for t in triples for c in range(1, r + 1)]
+        expected = CnfInstance(k, n, r, edges, tuple(clauses), len(triples))
+        assert export_cnf(k, r, n) == expected, (k, r, n)
+        assert export_cnf(k, r, n).to_dimacs() == reference_dimacs(expected), (k, r, n)
+
+
+def reference_dimacs(inst):
+    """Per-line reference for `CnfInstance.to_dimacs`: one join per variable comment and per clause."""
+    lines = [f"c loose-3-path ramsey coloring instance k={inst.k} n={inst.n} r={inst.r}"]
+    for i, e in enumerate(inst.edges):
+        for c in range(1, inst.r + 1):
+            lines.append(f"c var {i * inst.r + c} = edge {' '.join(map(str, e))} color {c}")
+    lines.append(f"p cnf {inst.num_vars} {len(inst.clauses)}")
+    for clause in inst.clauses:
+        lines.append(" ".join(map(str, clause)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cnf_instances(draw):
+    k, r = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(k, 5))
     edges = tuple(itertools.combinations(range(n), k))
-    triples = [sorted(t) for t in reference_index_tuples(edges, 3)]
-    clauses = [tuple(i * r + c for c in range(1, r + 1)) for i in range(len(edges))]
-    clauses += [tuple(-(e * r + c) for e in t) for t in triples for c in range(1, r + 1)]
-    expected = CnfInstance(k, n, r, edges, tuple(clauses), len(triples)).to_dimacs()
-    assert export_cnf(k, r, n).to_dimacs() == expected
+    v = len(edges) * r
+    literal = st.integers(1, v).flatmap(lambda x: st.sampled_from([x, -x]))
+    clauses = draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=30))
+    return CnfInstance(k, n, r, edges, tuple(clauses), 0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(cnf_instances())
+@example(CnfInstance(2, 3, 2, ((0, 1), (0, 2), (1, 2)), ((), (1,), (-2,), (), (3, -4, 5, -6), (1,)), 0))
+@example(CnfInstance(2, 2, 1, ((0, 1),), (), 0))
+def test_dimacs_matches_reference_writer(inst):
+    # Runs of equal-length clauses, of lengths 0 to 4 in any order, each
+    # written by one `%` call, give the text of the per-line writer.
+    assert inst.to_dimacs() == reference_dimacs(inst)
+
+
+def test_dimacs_pinned():
+    # sha256 of the DIMACS text of (3,2,10): 120 edges, 151,895 clauses.
+    text = export_cnf(3, 2, 10).to_dimacs()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0ae65b8b74f8fb875a48370b032dceeb45095cd3202327a68ad884dca4427f15"
+    )
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -278,6 +322,20 @@ def test_exhaustive_golden_witness(k, r, n, colors):
         " ".join(map(str, e)) + f" {c}\n" for e, c in zip(edges, colors)
     )
     assert serialize_coloring(exhaustive_decide(k, r, n).witness) == expected
+
+
+def test_exhaustive_copy_free_skips_low_block(monkeypatch):
+    # K^(3)_6 holds no copy: the all-color-1 coloring is the witness, found
+    # without building the low block's bitsets.
+    expected = serialize_coloring(exhaustive_decide(3, 2, 6).witness)
+
+    def refuse(m, r):
+        raise AssertionError("_low_block called on a copy-free instance")
+
+    monkeypatch.setattr(search, "_low_block", refuse)
+    outcome = exhaustive_decide(3, 2, 6)
+    assert (outcome.verdict, outcome.stats.nodes) == (VERDICT_FAILS, 1)
+    assert serialize_coloring(outcome.witness) == expected
 
 
 SMALL_ORACLE_INSTANCES = [

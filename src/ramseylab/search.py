@@ -11,6 +11,7 @@ import functools
 import itertools
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -120,7 +121,7 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
 
     Built by construction: a middle edge, an ordered pair of link vertices in
     it, then end edges through the links from disjoint (k-1)-sets outside it
-    (one end edge for length 2).  The closed-form count
+    (one end edge for length 2), ordered by one `_packed_sort`.  The count
     C(n,k)·k(k-1)/2·C(n-k,k-1)·C(n-2k+1,k-1), or C(n,k)·k·C(n-k,k-1)/2 for
     length 2, is checked before anything is allocated and against the rows.
     """
@@ -130,7 +131,7 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
     if count > INDEX_GUARD:
         raise InstanceTooLargeError(f"{count} loose-path copies exceed the index guard {INDEX_GUARD}")
     m = comb(n, k)
-    dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32  # int16 sorts by radix
+    dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
     if not count:
         return np.empty((0, length), dtype=dtype)
     edges = list(itertools.combinations(range(n), k))
@@ -150,10 +151,25 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
         first, last = ends[:, a[:, None], p], ends[:, b[:, None], q]
         mid = np.repeat(np.arange(m, dtype=dtype), first[0].size)
         cols = (np.minimum(first, last).ravel(), mid, np.maximum(first, last).ravel())
-    index = np.stack(cols, axis=1)[np.lexsort(cols[::-1])]
-    assert len(index) == count
+    key, bits = _packed_sort(cols, m)
+    assert len(key) == count
+    index = np.empty((count, length), dtype=dtype)
+    for col in range(length):
+        index[:, col] = key >> bits * (length - 1 - col) & (1 << bits) - 1
     index.flags.writeable = False
     return index
+
+
+def _packed_sort(cols: tuple[np.ndarray, ...], m: int) -> tuple[np.ndarray, int]:
+    """(keys, bits): rows of columns below m packed first column highest, bits each, in lexsort order."""
+    bits = (m - 1).bit_length()
+    assert bits * len(cols) <= 63
+    key = cols[0].astype(np.int32 if bits * len(cols) < 32 else np.int64)
+    for col in cols[1:]:
+        key <<= bits
+        key |= col
+    key.sort()
+    return key, bits
 
 
 def _edge_ranks(n: int, k: int, vertices: np.ndarray) -> np.ndarray:
@@ -179,30 +195,35 @@ def _vertex_swaps(n: int, k: int) -> np.ndarray:
     return swaps
 
 
+def _sorted_triples(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min, median and max columns of the index rows, as a row (i, j, t) has i < t; (i, j) reads as (i, i, j)."""
+    i, j, t = index[:, [0, -2, -1]].T
+    return np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)
+
+
 def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     """For each edge d, the pairs (p, mask) with p <= d that close copies.
 
     Once d and its partner p are both in one class, every edge whose bit is
     set in mask would close a copy in that class.  A copy sorted as (a, b, x)
     sets bit x in the mask of partner a of edge b; a length-2 copy (a, x)
-    sets bit x in the mask of edge a with itself as partner.  Index rows are
-    sorted into (a, b, x), grouped by (b, a) with one lexsort and their bits
-    ORed into 64-bit words; partners are listed in ascending order.
+    sets bit x in the mask of edge a with itself as partner.  One sort of
+    packed (b, a, x) keys groups the rows by (b, a), and one bincount sums
+    their bits (distinct powers of two add exactly) into 32-bit words;
+    partners are listed in ascending order.
     """
     m = comb(n, k)
-    # A row (i, j, t), i < t, sorts to (a, b, x); a length-2 row (i, j) reads as (i, i, j).
-    i, j, t = _loose_path_index(n, k, length)[:, [0, length - 2, length - 1]].T
-    a, b, x = np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)
-    order = np.lexsort((a, b))
-    a, b, x = a[order], b[order], x[order]
-    new = np.diff(b.astype(np.int64) * m + a, prepend=-1) != 0
-    words = np.zeros((np.count_nonzero(new), (m + 63) // 64), dtype=np.uint64)
-    np.bitwise_or.at(words, (np.cumsum(new) - 1, x // 64), np.uint64(1) << (x % 64).astype(np.uint64))
-    close: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    raw, size = words.tobytes(), words.shape[1] * 8
-    for g, (p, d) in enumerate(zip(a[new].tolist(), b[new].tolist())):
-        close[d].append((p, int.from_bytes(raw[g * size : (g + 1) * size], "little")))
-    return close
+    a, b, x = _sorted_triples(_loose_path_index(n, k, length))
+    key, bits = _packed_sort((b, a, x), m)
+    x, pair = key & (1 << bits) - 1, key >> bits
+    new = np.diff(pair, prepend=-1) != 0
+    pair, size = pair[new], (m + 31) // 32  # 32-bit words per mask
+    words = np.bincount((np.cumsum(new) - 1) * size + x // 32, np.ldexp(1.0, x % 32), len(pair) * size)
+    raw, step = words.astype("<u4").tobytes(), 4 * size
+    masks = [int.from_bytes(raw[g : g + step], "little") for g in range(0, len(raw), step)]
+    rows = list(zip((pair & (1 << bits) - 1).tolist(), masks))
+    cuts = np.searchsorted(pair >> bits, np.arange(m + 1)).tolist()
+    return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 class _FoldMemo(dict):
@@ -616,7 +637,7 @@ def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
     edges = tuple(itertools.combinations(range(n), k))
-    triples = np.sort(_loose_path_index(n, k, 3), axis=1).astype(np.int64)
+    triples = np.stack(_sorted_triples(_loose_path_index(n, k, 3)), axis=1, dtype=np.int64)
     neg = -(triples[:, None, :] * r + np.arange(1, r + 1)[:, None])
     clauses = [tuple(range(i * r + 1, i * r + r + 1)) for i in range(len(edges))]
     clauses += zip(*neg.reshape(-1, 3).T.tolist())
@@ -633,8 +654,9 @@ def cnf_satisfiable(instance: CnfInstance) -> bool:
     low block are folded into one mask up front; clauses touching the prefix
     are grouped by their prefix literals, and a prefix coloring that falsifies
     a group's literals keeps only the low colorings satisfying the rest of
-    every clause in it.  Refuses instances with more than 10^8 colorings,
-    and with ValueError a literal that is 0 or names no variable.
+    every clause in it.  A clause with all r positive literals of one edge
+    holds on every coloring and is dropped first.  Refuses instances with
+    more than 10^8 colorings, and with ValueError a literal 0 or |lit| > r·m.
     """
     m = len(instance.edges)
     r = instance.r
@@ -647,10 +669,11 @@ def cnf_satisfiable(instance: CnfInstance) -> bool:
     stray = {lit for clause in instance.clauses for lit in clause}.difference(range(-v, 0), range(1, v + 1))
     if stray:
         raise ValueError(f"literals must be nonzero with |lit| <= {v}, got {sorted(stray)}")
-    h, eq = _low_block(m, r)
+    clauses = [c for c in instance.clauses if r not in Counter((lit - 1) // r for lit in set(c) if lit > 0).values()]
+    h, eq = _low_block(m, r) if clauses else (m, [])  # no clause left: the first prefix is sat
     full = alive_low = (1 << r ** (m - h)) - 1
     touching: dict[tuple[tuple[int, int, bool], ...], int] = {}
-    for clause in instance.clauses:
+    for clause in clauses:
         # Its low literals are all false where every negative one's color
         # is taken (neg) and no positive one's (pos).
         high, pos, neg = [], 0, full

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -139,6 +140,91 @@ def test_index_matches_reference_walk(k):
             assert enumerate_loose_paths(n, k, length) == expected, (n, length)
             table = search._closing_table(n, k, length)
             assert [dict(row) for row in table] == reference_closing_rows(walk, len(edges)), (n, length)
+
+
+def reference_lexsort_index(n, k, length):
+    """The copy index as built before the packed sort: the column stack gathered by np.lexsort."""
+    m = comb(n, k)
+    dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
+    count = comb(n, k) * k * comb(max(n - k, 0), k - 1) // 2
+    if length == 3:
+        count *= (k - 1) * comb(max(n - 2 * k + 1, 0), k - 1)
+    if not count:
+        return np.empty((0, length), dtype=dtype)
+    edges = list(itertools.combinations(range(n), k))
+    rest = np.array([sorted(set(range(n)).difference(e)) for e in edges])
+    local = np.array(list(itertools.combinations(range(n - k), k - 1)))
+    ends = np.empty((m, k, len(local), k), dtype=np.intp)
+    ends[..., 0] = np.array(edges)[:, :, None]
+    ends[..., 1:] = rest[:, None, local]
+    ends = search._edge_ranks(n, k, ends).astype(dtype)
+    if length == 2:
+        mid = np.broadcast_to(np.arange(m, dtype=dtype)[:, None, None], ends.shape)
+        cols = (mid[mid < ends], ends[mid < ends])
+    else:
+        a, b = np.array(list(itertools.combinations(range(k), 2))).T
+        p, q = np.nonzero([[set(u).isdisjoint(w) for w in local.tolist()] for u in local.tolist()])
+        first, last = ends[:, a[:, None], p], ends[:, b[:, None], q]
+        mid = np.repeat(np.arange(m, dtype=dtype), first[0].size)
+        cols = (np.minimum(first, last).ravel(), mid, np.maximum(first, last).ravel())
+    return np.stack(cols, axis=1)[np.lexsort(cols[::-1])]
+
+
+def reference_lexsort_closing_table(n, k, length):
+    """The closing rows as built before the packed sort: lexsort, bitwise_or.at, one append per group."""
+    m = comb(n, k)
+    i, j, t = reference_lexsort_index(n, k, length)[:, [0, length - 2, length - 1]].T
+    a, b, x = np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)
+    order = np.lexsort((a, b))
+    a, b, x = a[order], b[order], x[order]
+    new = np.diff(b.astype(np.int64) * m + a, prepend=-1) != 0
+    words = np.zeros((np.count_nonzero(new), (m + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(words, (np.cumsum(new) - 1, x // 64), np.uint64(1) << (x % 64).astype(np.uint64))
+    close = [[] for _ in range(m)]
+    raw, size = words.tobytes(), words.shape[1] * 8
+    for g, (p, d) in enumerate(zip(a[new].tolist(), b[new].tolist())):
+        close[d].append((p, int.from_bytes(raw[g * size : (g + 1) * size], "little")))
+    return close
+
+
+@pytest.mark.parametrize("n, k, length", [(12, 3, 3), (12, 3, 2), (10, 4, 3), (9, 4, 3)])
+def test_tables_match_lexsort_builds(n, k, length):
+    # (9,4,3) holds no copy (a loose 3-path needs 3k-2 = 10 vertices), and
+    # its empty index is returned as built, writeable; the others are read-only.
+    expected = reference_lexsort_index(n, k, length)
+    index = search._loose_path_index(n, k, length)
+    assert index.dtype == expected.dtype and index.shape == expected.shape
+    assert index.flags.writeable == (not len(expected))
+    assert np.array_equal(index, expected)
+    assert search._closing_table(n, k, length) == reference_lexsort_closing_table(n, k, length)
+
+
+@st.composite
+def packed_columns(draw):
+    m = draw(st.integers(1, 1 << 21))
+    width = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * width), max_size=40))
+    return m, width, rows
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(packed_columns())
+@example((1, 3, [(0, 0, 0), (0, 0, 0)]))
+@example((1 << 21, 2, []))
+@example((1 << 21, 3, [(1, 0, 5), ((1 << 21) - 1, 0, 0), (1, 0, 4), (0, (1 << 21) - 1, (1 << 21) - 1)]))
+@example((1 << 10, 3, [(1023, 1, 2), (1023, 0, 1023), (2, 3, 4)]))
+@example((1 << 10 | 1, 3, [(1024, 1, 2), (1024, 0, 1024), (2, 3, 4)]))
+@example((1 << 16, 2, [(65535, 0), (1, 65535), (32768, 1), (32768, 0)]))
+def test_packed_sort_matches_lexsort(case):
+    # Keys of up to 31 bits are int32 (3 columns of 10 bits); 32 bits or
+    # more (2 columns of 16, 3 of 11) take the int64 branch.
+    m, width, rows = case
+    cols = tuple(np.array(col, dtype=np.int32) for col in (zip(*rows) if rows else [()] * width))
+    key, bits = search._packed_sort(cols, m)
+    assert bits == (m - 1).bit_length()
+    assert key.dtype == (np.int32 if bits * width < 32 else np.int64)
+    unpacked = np.stack([key >> bits * (width - 1 - j) & (1 << bits) - 1 for j in range(width)], axis=1)
+    assert np.array_equal(unpacked, np.stack(cols, axis=1)[np.lexsort(cols[::-1])])
 
 
 def test_export_cnf_matches_reference_walk():
@@ -1050,12 +1136,22 @@ def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
     if chunk:
         monkeypatch.setattr(search, "_CHUNK", chunk)
     edges = tuple(itertools.combinations(range(4), 2))
-    for _ in range(150):
+    for trial in range(300):
         r = rng.randint(2, 3)
         clauses = tuple(
             tuple(rng.choice((1, -1)) * rng.randint(1, len(edges) * r) for _ in range(rng.randint(1, 3)))
             for _ in range(rng.randint(1, 24))
         )
+        if trial >= 150:
+            # Then full at-least-one clauses, true on every coloring, some with
+            # other literals added, among a random number of the drawn ones.
+            full = [
+                tuple(rng.sample(range(e * r + 1, e * r + r + 1), r)) + rng.choice(clauses + ((),))
+                for e in rng.sample(range(len(edges)), rng.randint(1, 3))
+            ]
+            clauses = list(clauses[: rng.randint(0, len(clauses))]) + full
+            rng.shuffle(clauses)
+            clauses = tuple(clauses)
         expected = any(
             all(
                 any((colors[(abs(lit) - 1) // r] == (abs(lit) - 1) % r) == (lit > 0) for lit in clause)
@@ -1064,6 +1160,24 @@ def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
             for colors in itertools.product(range(r), repeat=len(edges))
         )
         assert cnf_satisfiable(CnfInstance(2, 4, r, edges, clauses, 0)) == expected, clauses
+
+
+def test_cnf_satisfiable_drops_full_clauses(monkeypatch):
+    # K^(3)_6 holds no copy, so export_cnf(3,2,6) has only at-least-one
+    # clauses, each true on every coloring: sat without the low block.  The
+    # guard and the stray-literal check still come first.
+    def refuse(m, r):
+        raise AssertionError("_low_block called although every clause holds")
+
+    monkeypatch.setattr(search, "_low_block", refuse)
+    inst = export_cnf(3, 2, 6)
+    assert inst.path_count == 0 and cnf_satisfiable(inst)
+    with pytest.raises(ValueError, match="literal"):
+        cnf_satisfiable(CnfInstance(3, 6, 2, inst.edges, inst.clauses + ((1, 2, 0),), 0))
+    big = export_cnf(3, 2, 7)
+    cover = big.clauses[: len(big.edges)]
+    with pytest.raises(InstanceTooLargeError):
+        cnf_satisfiable(CnfInstance(3, 7, 2, big.edges, cover, 0))
 
 
 def test_cnf_rejects_stray_literals():

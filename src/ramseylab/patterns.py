@@ -182,8 +182,11 @@ class Coloring:
 
 
 def find_mono_loose_path(coloring: Coloring, length: int) -> tuple[int, LoosePathWitness] | None:
-    """First color class (ascending) containing a loose path of the given length."""
-    for color in range(1, coloring.r + 1):
+    """First color class (ascending) containing a loose path of the given length.
+
+    Only the colors in use are read, since an empty class holds no path.
+    """
+    for color in sorted(set(coloring._assignment.values())):
         witness = find_loose_path(coloring.color_class(color), length)
         if witness is not None:
             return color, witness

@@ -121,13 +121,10 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
 
     Built by construction: a middle edge, an ordered pair of link vertices in
     it, then end edges through the links from disjoint (k-1)-sets outside it
-    (one end edge for length 2), ordered by one `_packed_sort`.  The count
-    C(n,k)·k(k-1)/2·C(n-k,k-1)·C(n-2k+1,k-1), or C(n,k)·k·C(n-k,k-1)/2 for
-    length 2, is checked before anything is allocated and against the rows.
+    (one end edge for length 2), ordered by one `_packed_sort`.  The count,
+    `_copy_count`, is checked before anything is allocated and against the rows.
     """
-    count = comb(n, k) * k * comb(max(n - k, 0), k - 1) // 2
-    if length == 3:
-        count *= (k - 1) * comb(max(n - 2 * k + 1, 0), k - 1)
+    count = _copy_count(n, k, length)
     if count > INDEX_GUARD:
         raise InstanceTooLargeError(f"{count} loose-path copies exceed the index guard {INDEX_GUARD}")
     m = comb(n, k)
@@ -158,6 +155,17 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
         index[:, col] = key >> bits * (length - 1 - col) & (1 << bits) - 1
     index.flags.writeable = False
     return index
+
+
+def _copy_count(n: int, k: int, length: int) -> int:
+    """Copies of the loose path in K^(k)_n, by closed form.
+
+    C(n,k)·k(k-1)/2·C(n-k,k-1)·C(n-2k+1,k-1), or C(n,k)·k·C(n-k,k-1)/2 for length 2.
+    """
+    count = comb(n, k) * k * comb(max(n - k, 0), k - 1) // 2
+    if length == 3:
+        count *= (k - 1) * comb(max(n - 2 * k + 1, 0), k - 1)
+    return count
 
 
 def _packed_sort(cols: tuple[np.ndarray, ...], m: int) -> tuple[np.ndarray, int]:
@@ -298,12 +306,15 @@ def _run_canonical_dfs(r, swaps, close, partners, budget, seed=None):
     threat[colors[d]] before edge d took its color; coloring d with c ORs in
     the closing masks of its partners in cls[c], read from folded[d] at
     x = cls[c] & partners[d].  Edge d may take color c only if colors
-    1..c-1 appear before it; forward checking prunes once all r colors are
-    in use and a later edge is in every threat mask; `_lex_leader` prunes
-    when the image under a vertex swap (i i+1) is lex-smaller.
-    With a seed, each attempt steps `_turan_steps` on these tables one node;
-    once it returns ex, a descent is pruned when the sum over colors c of
-    min(ex - |cls[c]|, later edges not in threat[c]) is below the edges left.
+    1..c-1 appear before it.  With a seed, each attempt steps `_turan_steps`
+    on these tables one node until it returns ex.  A descent is pruned by
+    three tests, in this order: forward checking, once all r colors are in
+    use and a later edge is in every threat mask; the class cap, once ex is
+    known, when the sum over colors c of min(ex - |cls[c]|, later edges not
+    in threat[c]) is below the edges left; and `_lex_leader`, when the image
+    under a vertex swap (i i+1) is lex-smaller.  The order does not change
+    the tree, since a prune pops the waits `_lex_leader` added.
+    `decide_ramsey` passes min(r, C(n,k)) colors; more only add empty classes.
     Returns (result, colors, nodes, prunes, max_depth, ex or 0).
     """
     m = len(close)
@@ -313,6 +324,7 @@ def _run_canonical_dfs(r, swaps, close, partners, budget, seed=None):
     saved = [0] * m
     cls = [0] * (r + 1)
     bits = [1 << d for d in range(m)]
+    classes = range(1, r + 1)
     folded = [_FoldMemo(row) for row in close]
     steps = None if seed is None else _turan_steps(swaps, partners, folded, seed)
     waiting = [[] for _ in range(m + 1)]
@@ -356,12 +368,18 @@ def _run_canonical_dfs(r, swaps, close, partners, budget, seed=None):
             t |= folded[d][x]
         threat[c] = t
         u = used[d + 1] = c if c > used[d] else used[d]
-        # Shallower depths ruled a wiped-out edge out for the old masks.
-        wiped = u == r and t != saved[d] and functools.reduce(operator.and_, threat[1:]) >> d + 1
         cls[c] |= bits[d]
-        if wiped or waiting[d] and not _lex_leader(d, colors, used, waiting, trail) or cap and m - d - 1 > sum(
-            min(cap - cls[a].bit_count(), m - d - 1 - (threat[a] >> d + 1).bit_count()) for a in range(1, r + 1)
-        ):
+        # Shallower depths ruled a wiped-out edge out for the old masks.
+        prune = u == r and t != saved[d] and functools.reduce(operator.and_, threat[1:]) >> d + 1
+        if cap and not prune:
+            left = m - d - 1
+            room = 0
+            for a in classes:
+                free = left - (threat[a] >> d + 1).bit_count()
+                spare = cap - cls[a].bit_count()
+                room += spare if spare < free else free
+            prune = room < left
+        if prune or waiting[d] and not _lex_leader(d, colors, used, waiting, trail):
             prunes += 1
             threat[c] = saved[d]
             cls[c] ^= bits[d]
@@ -395,7 +413,9 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     swaps, close, edges, partners = _tables(n, k, 3)
     built = time.perf_counter()
     seed = _turan_seed(k, n, PATTERN_LOOSE_PATH_3, edges)
-    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(r, swaps, close, partners, budget, seed)
+    # A coloring uses at most C(n,k) colors, so more would only add empty classes.
+    dfs_r = min(r, len(edges))
+    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(dfs_r, swaps, close, partners, budget, seed)
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
@@ -527,7 +547,7 @@ def _turan_steps(swaps, partners, folded, seed):
             break
         t = threat[i]
         bound = chosen.bit_count() + m - i - (t >> i).bit_count()
-        if bound <= best_count or i and not _lex_leader(i - 1, word, None, waiting, trail):
+        if bound <= best_count or i and waiting[i - 1] and not _lex_leader(i - 1, word, None, waiting, trail):
             prunes += 1
         elif i == m:
             best_count, best_sel = chosen.bit_count(), [j for j in range(m) if chosen >> j & 1]
@@ -632,10 +652,15 @@ class CnfInstance:
 def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     """Build the CNF whose satisfiability means n is below the Ramsey number.
 
-    Its negative literals -(e*r + c), per copy and color c, are built as one (copies, r, 3) array.
+    r·(C(n,k) + copies), the at-least-one literals plus the copy clauses, is
+    checked against INDEX_GUARD before anything is allocated.  Its negative
+    literals -(e*r + c), per copy and color c, are built as one (copies, r, 3) array.
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
+    size = r * (comb(n, k) + _copy_count(n, k, 3))
+    if size > INDEX_GUARD:
+        raise InstanceTooLargeError(f"r·(C(n,k) + copies) = {size} exceeds the index guard {INDEX_GUARD}")
     edges = tuple(itertools.combinations(range(n), k))
     triples = np.stack(_sorted_triples(_loose_path_index(n, k, 3)), axis=1, dtype=np.int64)
     neg = -(triples[:, None, :] * r + np.arange(1, r + 1)[:, None])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,25 @@ def test_ramsey_exit_codes(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(capsys, "ramsey", "--k", "2", "--r", "3", "--n", "6", "--budget", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ramsey", "--k", "2", "--r", "100000000000", "--n", "3"], 1),
+        (["cnf", "--k", "2", "--r", "100000000000", "--n", "4", "-o", "{out}"], 64),
+    ],
+)
+def test_huge_r_exits_without_traceback(tmp_path, capsys, argv, code):
+    # The DFS runs with at most C(n,k) colors, and the CNF is refused by its
+    # size before anything is allocated.
+    target = tmp_path / "x.cnf"
+    start = time.perf_counter()
+    got, _, err = run(capsys, *[arg.format(out=target) for arg in argv])
+    assert time.perf_counter() - start < 2.0
+    assert got == code and "Traceback" not in err
+    assert err == "" if code == 1 else err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_ramsey_summary_reports_depth(capsys):

@@ -1,4 +1,3 @@
-import bisect
 import functools
 import hashlib
 import itertools
@@ -92,41 +91,53 @@ def test_enumerate_counts_closed_form(k):
         assert len(enumerate_loose_paths(n, k, 2)) == comb(n, k) * k * comb(n - k, k - 1) // 2
 
 
-@functools.lru_cache(maxsize=1)
-def one_vertex_neighbours(edges):
-    """Vertex bitmask per edge, and per edge the sorted edges meeting it in one vertex."""
-    masks = [sum(1 << v for v in e) for e in edges]
-    neighbours = [[] for _ in edges]
-    for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            common = a & masks[j]
-            if common and not common & (common - 1):
-                neighbours[i].append(j)
-                neighbours[j].append(i)
-    return masks, neighbours
+def edge_meets(edges):
+    """|e ∩ f| for every pair of edges, from the product of the incidence matrix with itself."""
+    inc = np.zeros((len(edges), edges[-1][-1] + 1), dtype=np.int32)
+    np.put_along_axis(inc, np.array(edges), 1, axis=1)
+    return inc @ inc.T
 
 
-def reference_index_tuples(edges, length):
-    """Reference intersection-test walk: ordered index tuples, lex, reversal-deduped."""
-    masks, neighbours = one_vertex_neighbours(tuple(edges))
-    for i, near in enumerate(neighbours):
+def reference_index_columns(edges, length):
+    """Reference walk by definition: the columns of the ordered index tuples, lex, reversal-deduped.
+
+    A length-2 copy (i, j) has |e_i ∩ e_j| = 1 and i < j; a length-3 copy
+    (i, j, t) has |e_i ∩ e_j| = |e_j ∩ e_t| = 1, e_i ∩ e_t empty and i < t.
+    """
+    meets = edge_meets(edges)
+    one = meets == 1
+    if length == 2:
+        return [col.tolist() for col in np.nonzero(np.triu(one, 1))]
+    rows = [[], [], []]
+    for i in range(len(edges)):
+        mids = np.flatnonzero(one[i])
+        j, t = np.nonzero(one[mids, i + 1 :] & (meets[i, i + 1 :] == 0))
+        for col, part in zip(rows, (np.full(len(t), i), mids[j], t + i + 1)):
+            col.append(part)
+    return [np.concatenate(col).tolist() for col in rows]
+
+
+def reference_closing_rows(edges, length):
+    """close[b] maps a <= b to the mask of the edges x > b that close a copy, by definition.
+
+    For length 2 the copy is {b, x}, with b its own partner; for length 3 it
+    is {a, b, x} with a < b, where one pair of the three edges is disjoint
+    and the other two pairs meet in one vertex.
+    """
+    meets = edge_meets(edges)
+    one, free = meets == 1, meets == 0
+    close = [{} for _ in edges]
+    for b in range(len(edges)):
+        bx1, bx0 = one[b, b + 1 :], free[b, b + 1 :]
         if length == 2:
-            yield from ((i, j) for j in near if j > i)
-            continue
-        for j in near:
-            far = neighbours[j]
-            for t in far[bisect.bisect_right(far, i):]:
-                if not masks[i] & masks[t]:
-                    yield (i, j, t)
-
-
-def reference_closing_rows(walk, m):
-    """Closing masks folded copy by copy from the walk, one dict per edge."""
-    close = [{} for _ in range(m)]
-    for tup in walk:
-        key = sorted(tup)
-        row = close[key[-2]]
-        row[key[0]] = row.get(key[0], 0) | 1 << key[-1]
+            hits = bx1[None]
+        else:
+            ab1, ab0 = one[:b, b, None], free[:b, b, None]
+            ax1, ax0 = one[:b, b + 1 :], free[:b, b + 1 :]
+            hits = ab1 & bx1 & ax0 | ab1 & ax1 & bx0 | ab0 & bx1 & ax1
+        for a in np.flatnonzero(hits.any(axis=1)).tolist():
+            bits = np.packbits(hits[a], bitorder="little").tobytes()
+            close[b][b if length == 2 else a] = int.from_bytes(bits, "little") << b + 1
     return close
 
 
@@ -135,11 +146,11 @@ def test_index_matches_reference_walk(k):
     for n in range(k, 3 * k + 1):
         edges = list(itertools.combinations(range(n), k))
         for length in (2, 3):
-            walk = list(reference_index_tuples(edges, length))
-            expected = [tuple(edges[i] for i in tup) for tup in walk]
+            cols = reference_index_columns(edges, length)
+            expected = list(zip(*([edges[i] for i in col] for col in cols)))
             assert enumerate_loose_paths(n, k, length) == expected, (n, length)
             table = search._closing_table(n, k, length)
-            assert [dict(row) for row in table] == reference_closing_rows(walk, len(edges)), (n, length)
+            assert [dict(row) for row in table] == reference_closing_rows(edges, length), (n, length)
 
 
 def reference_lexsort_index(n, k, length):
@@ -231,7 +242,7 @@ def test_export_cnf_matches_reference_walk():
     # (3,2,6) holds no copy, so only the at-least-one clauses are left.
     for k, r, n in [(3, 1, 7), (3, 2, 7), (3, 3, 7), (2, 3, 6), (3, 2, 6)]:
         edges = tuple(itertools.combinations(range(n), k))
-        triples = [sorted(t) for t in reference_index_tuples(edges, 3)]
+        triples = [sorted(t) for t in zip(*reference_index_columns(edges, 3))]
         clauses = [tuple(i * r + c for c in range(1, r + 1)) for i in range(len(edges))]
         clauses += [tuple(-(e * r + c) for e in t) for t in triples for c in range(1, r + 1)]
         expected = CnfInstance(k, n, r, edges, tuple(clauses), len(triples))
@@ -342,6 +353,18 @@ def test_index_guard_fails_fast(call):
     with pytest.raises(InstanceTooLargeError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_export_cnf_guards_clauses_before_allocating():
+    # K^(2)_4 has 6 edges and 12 copies, so r = 10^11 gives r·18 = 1.8·10^12,
+    # far past the guard, and the first r past it is refused as well.
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError):
+        export_cnf(2, 10**11, 4)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InstanceTooLargeError):
+        export_cnf(2, search.INDEX_GUARD // 18 + 1, 4)
+    assert len(export_cnf(2, 2, 4).clauses) == 6 + 2 * 12
 
 
 def test_enumerate_empty_when_too_small():
@@ -674,6 +697,11 @@ def test_decide_pruned_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_
         (2, 4, 9, 0, "fails", 2905, 2157, 35, 9),
         (2, 3, 8, 0, "holds", 237, 156, 14, 7),
         (3, 3, 9, 1000, "unknown", 1001, 647, 54, 0),  # ex_3(9) takes 2309 Turán nodes
+        # The frontier rows, each pruned by all three tests once the cap is armed.
+        (3, 4, 10, 100000, "unknown", 100001, 74963, 90, 36),
+        (3, 5, 11, 100000, "unknown", 100001, 79929, 135, 45),
+        (2, 6, 12, 100000, "unknown", 100001, 83280, 46, 12),
+        (4, 2, 11, 50000, "unknown", 50001, 24956, 148, 0),  # steps the Turán search at every node
     ],
 )
 def test_decide_capped_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_depth, class_cap):
@@ -683,6 +711,20 @@ def test_decide_capped_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_
     stats = outcome.stats
     tree = (outcome.verdict, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap)
     assert tree == (verdict, nodes, prunes, max_depth, class_cap)
+
+
+@pytest.mark.parametrize("k, n, r", [(2, 6, 100), (3, 4, 10), (2, 4, 7), (2, 3, 10**11)])
+def test_decide_clamps_colors_to_edges(k, n, r):
+    # A coloring of C(n,k) edges uses at most C(n,k) colors, so a larger r
+    # gives the same tree and witness colors; only the witness keeps r.
+    def tree(r):
+        outcome = decide_ramsey(k, r, n)
+        stats, witness = outcome.stats, outcome.witness
+        assert witness is None or witness.r == r
+        colors = [c for _, c in witness.items()] if witness else None
+        return outcome.verdict, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap, colors
+
+    assert tree(r) == tree(comb(n, k))
 
 
 def test_decide_golden_witness():

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Sequence
 
+from .errors import check_index_guard
 from .hypergraphs import Hypergraph
 from .patterns import Coloring
 
@@ -24,13 +26,14 @@ def star_clique_coloring(k: int, r: int) -> Coloring:
     Star centers are vertices 0..r-2; an edge takes color i+1 for the
     smallest center i it contains, making class i+1 a sub-star at i.  Edges
     inside the last 3k-3 vertices take color r and form a clique too small to
-    carry a loose 3-path.
+    carry a loose 3-path.  Past INDEX_GUARD edges it raises InstanceTooLargeError.
     """
     if k < 3:
         raise ValueError(f"uniformity must be at least 3, got {k}")
     if r < 1:
         raise ValueError(f"color count must be at least 1, got {r}")
     n = r + 3 * k - 4
+    check_index_guard(comb(n, k), "edges")
     centers = r - 1
     assignment = {}
     for edge in itertools.combinations(range(n), k):
@@ -39,11 +42,12 @@ def star_clique_coloring(k: int, r: int) -> Coloring:
 
 
 def full_star(n: int, k: int, center: int = 0) -> Hypergraph:
-    """All C(n-1, k-1) k-sets through one vertex."""
+    """All C(n-1, k-1) k-sets through one vertex, refused past INDEX_GUARD."""
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if not 0 <= center < n:
         raise ValueError(f"center {center} outside 0..{n - 1}")
+    check_index_guard(comb(n - 1, k - 1), "edges")
     others = [v for v in range(n) if v != center]
     edges = [tuple(sorted((center,) + rest)) for rest in itertools.combinations(others, k - 1)]
     return Hypergraph(k, n, edges)
@@ -53,13 +57,14 @@ def pair_cover(n: int, k: int, pair: Sequence[int] = (0, 1)) -> Hypergraph:
     """All C(n-2, k-2) k-sets through both vertices of a fixed pair.
 
     Any two edges intersect in at least the pair, so no two edges share
-    exactly one vertex.
+    exactly one vertex.  Refused past INDEX_GUARD edges.
     """
     if k < 3 or k > n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
     a, b = pair
     if a == b or not 0 <= a < n or not 0 <= b < n:
         raise ValueError(f"pair {tuple(pair)} must be two distinct vertices in 0..{n - 1}")
+    check_index_guard(comb(n - 2, k - 2), "edges")
     base = tuple(sorted((a, b)))
     others = [v for v in range(n) if v not in base]
     edges = [tuple(sorted(base + rest)) for rest in itertools.combinations(others, k - 2)]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the size guard shared across the package."""
+
+INDEX_GUARD = 10**7
 
 
 class ParseError(ValueError):
@@ -12,4 +14,10 @@ class ParseError(ValueError):
 
 
 class InstanceTooLargeError(ValueError):
-    """An exhaustive engine was asked to enumerate past its hard guard."""
+    """A call was asked to enumerate or allocate past one of its hard guards."""
+
+
+def check_index_guard(count: int, what: str) -> None:
+    """Raise InstanceTooLargeError when `count`, a closed form taken before anything is allocated, exceeds INDEX_GUARD."""
+    if count > INDEX_GUARD:
+        raise InstanceTooLargeError(f"{count} {what} exceed the index guard {INDEX_GUARD}")

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .constructions import pair_cover
-from .errors import InstanceTooLargeError
+from .errors import INDEX_GUARD, InstanceTooLargeError, check_index_guard
 from .hypergraphs import Hypergraph, serialize_hypergraph
 from .patterns import Coloring, find_loose_path, find_mono_loose_path, serialize_coloring
 
@@ -33,7 +33,6 @@ STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower-bound-only"
 
 EXHAUSTIVE_GUARD = 100_000_000
-INDEX_GUARD = 10**7
 _CHUNK = 1 << 20
 
 
@@ -125,8 +124,7 @@ def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
     `_copy_count`, is checked before anything is allocated and against the rows.
     """
     count = _copy_count(n, k, length)
-    if count > INDEX_GUARD:
-        raise InstanceTooLargeError(f"{count} loose-path copies exceed the index guard {INDEX_GUARD}")
+    check_index_guard(count, "loose-path copies")
     m = comb(n, k)
     dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
     if not count:
@@ -193,9 +191,7 @@ def _vertex_swaps(n: int, k: int) -> np.ndarray:
     Its (n-1)·C(n,k)·k-entry temporary is guarded like the copy index, which
     an instance without copies passes.
     """
-    entries = (n - 1) * comb(n, k) * k
-    if entries > INDEX_GUARD:
-        raise InstanceTooLargeError(f"{entries} vertex-swap entries exceed the index guard {INDEX_GUARD}")
+    check_index_guard((n - 1) * comb(n, k) * k, "vertex-swap entries")
     edges = np.array(list(itertools.combinations(range(n), k)))
     i = np.arange(n - 1)[:, None, None]
     swaps = _edge_ranks(n, k, edges + (edges == i) - (edges == i + 1))
@@ -203,35 +199,53 @@ def _vertex_swaps(n: int, k: int) -> np.ndarray:
     return swaps
 
 
-def _sorted_triples(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min, median and max columns of the index rows, as a row (i, j, t) has i < t; (i, j) reads as (i, i, j)."""
-    i, j, t = index[:, [0, -2, -1]].T
-    return np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)
-
-
 def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
-    """For each edge d, the pairs (p, mask) with p <= d that close copies.
+    """For each edge d, the pairs (p, mask) with p <= d that close copies, partners ascending.
 
     Once d and its partner p are both in one class, every edge whose bit is
-    set in mask would close a copy in that class.  A copy sorted as (a, b, x)
-    sets bit x in the mask of partner a of edge b; a length-2 copy (a, x)
-    sets bit x in the mask of edge a with itself as partner.  One sort of
-    packed (b, a, x) keys groups the rows by (b, a), and one bincount sums
-    their bits (distinct powers of two add exactly) into 32-bit words;
-    partners are listed in ascending order.
+    set in mask would close a copy in that class; only bits above d are kept.
+    The rows come from edge bitsets, not the copy index: one[e] holds the
+    edges that meet e in exactly one vertex and free[e] those disjoint from
+    it.  The end edges of a loose 3-path are disjoint and each meets the
+    middle in one vertex, so a partner p in one[d] closes with the edges in
+    one[d] & free[p] (d in the middle) or free[d] & one[p] (p in the middle),
+    and a partner in free[d] with those in one[d] & one[p].  A length-2 row
+    is (d, one[d]), d its own partner.  The closed-form copy count is checked
+    against INDEX_GUARD first, so the engines refuse what the index would.
     """
-    m = comb(n, k)
-    a, b, x = _sorted_triples(_loose_path_index(n, k, length))
-    key, bits = _packed_sort((b, a, x), m)
-    x, pair = key & (1 << bits) - 1, key >> bits
-    new = np.diff(pair, prepend=-1) != 0
-    pair, size = pair[new], (m + 31) // 32  # 32-bit words per mask
-    words = np.bincount((np.cumsum(new) - 1) * size + x // 32, np.ldexp(1.0, x % 32), len(pair) * size)
-    raw, step = words.astype("<u4").tobytes(), 4 * size
-    masks = [int.from_bytes(raw[g : g + step], "little") for g in range(0, len(raw), step)]
-    rows = list(zip((pair & (1 << bits) - 1).tolist(), masks))
-    cuts = np.searchsorted(pair >> bits, np.arange(m + 1)).tolist()
-    return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    check_index_guard(_copy_count(n, k, length), "loose-path copies")
+    edges = list(itertools.combinations(range(n), k))
+    inc = [0] * n  # inc[v]: the edges through vertex v
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v] |= 1 << i
+    full = (1 << len(edges)) - 1
+    one, free = [], []
+    for e in edges:
+        ge1 = ge2 = 0  # the edges meeting e in at least one, at least two vertices
+        for v in e:
+            ge2 |= ge1 & inc[v]
+            ge1 |= inc[v]
+        one.append(ge1 ^ ge2)
+        free.append(full ^ ge1)
+    close = []
+    for d, (od, fd) in enumerate(zip(one, free)):
+        above = full >> d + 1 << d + 1
+        if length == 2:
+            close.append([(d, od & above)] if od & above else [])
+            continue
+        row = []
+        for p in range(d):
+            if od >> p & 1:
+                mask = (od & free[p] | fd & one[p]) & above
+            elif fd >> p & 1:
+                mask = od & one[p] & above
+            else:
+                continue
+            if mask:
+                row.append((p, mask))
+        close.append(row)
+    return close
 
 
 class _FoldMemo(dict):
@@ -258,8 +272,9 @@ def _tables(n: int, k: int, length: int):
 
     swaps are the rows of `_vertex_swaps` as lists, each ending in the
     sentinel C(n,k); they are built first, so their guard stops an instance
-    without copies.  close is `_closing_table`, edges lists the k-sets in lex
-    order and partners[d] is the OR of the partner bits of close[d].
+    without copies.  close is `_closing_table`, built from edge bitsets
+    without the copy index, edges lists the k-sets in lex order and
+    partners[d] is the OR of the partner bits of close[d].
     """
     swaps = [s + [len(s)] for s in _vertex_swaps(n, k).tolist()]
     close = _closing_table(n, k, length)
@@ -662,7 +677,8 @@ def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     if size > INDEX_GUARD:
         raise InstanceTooLargeError(f"r·(C(n,k) + copies) = {size} exceeds the index guard {INDEX_GUARD}")
     edges = tuple(itertools.combinations(range(n), k))
-    triples = np.stack(_sorted_triples(_loose_path_index(n, k, 3)), axis=1, dtype=np.int64)
+    i, j, t = _loose_path_index(n, k, 3).T  # i < t, so each copy sorts to (min(i, j), max(i, min(j, t)), max(j, t))
+    triples = np.stack((np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)), axis=1, dtype=np.int64)
     neg = -(triples[:, None, :] * r + np.arange(1, r + 1)[:, None])
     clauses = [tuple(range(i * r + 1, i * r + r + 1)) for i in range(len(edges))]
     clauses += zip(*neg.reshape(-1, 3).T.tolist())

@@ -43,11 +43,14 @@ def test_ramsey_exit_codes(tmp_path, capsys):
     [
         (["ramsey", "--k", "2", "--r", "100000000000", "--n", "3"], 1),
         (["cnf", "--k", "2", "--r", "100000000000", "--n", "4", "-o", "{out}"], 64),
+        (["construct", "star-clique", "--k", "3", "--r", "3000", "-o", "{out}"], 64),
+        (["construct", "full-star", "--k", "3", "--n", "100000", "-o", "{out}"], 64),
+        (["construct", "pair-cover", "--k", "4", "--n", "100000", "-o", "{out}"], 64),
     ],
 )
 def test_huge_r_exits_without_traceback(tmp_path, capsys, argv, code):
-    # The DFS runs with at most C(n,k) colors, and the CNF is refused by its
-    # size before anything is allocated.
+    # The DFS runs with at most C(n,k) colors, and the CNF and the
+    # constructions are refused by their size before anything is allocated.
     target = tmp_path / "x.cnf"
     start = time.perf_counter()
     got, _, err = run(capsys, *[arg.format(out=target) for arg in argv])

@@ -1,8 +1,10 @@
+import time
 from math import comb
 
 import pytest
 
 from ramseylab import (
+    InstanceTooLargeError,
     find_loose_path,
     find_mono_loose_path,
     full_star,
@@ -52,6 +54,21 @@ def test_star_clique_invalid():
         star_clique_coloring(2, 2)
     with pytest.raises(ValueError):
         star_clique_coloring(3, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: star_clique_coloring(3, 3000),  # C(3005, 3) = 4.5·10^9 edges
+        lambda: full_star(10**5, 3),  # C(99999, 2) = 5.0·10^9 edges
+        lambda: pair_cover(10**5, 4),  # C(99998, 2) = 5.0·10^9 edges
+    ],
+)
+def test_constructions_guard_edges_before_enumerating(call):
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_full_star_examples():

@@ -198,7 +198,7 @@ def reference_lexsort_closing_table(n, k, length):
     return close
 
 
-@pytest.mark.parametrize("n, k, length", [(12, 3, 3), (12, 3, 2), (10, 4, 3), (9, 4, 3)])
+@pytest.mark.parametrize("n, k, length", [(12, 3, 3), (12, 3, 2), (10, 4, 3), (9, 4, 3), (11, 4, 3), (13, 5, 3)])
 def test_tables_match_lexsort_builds(n, k, length):
     # (9,4,3) holds no copy (a loose 3-path needs 3k-2 = 10 vertices), and
     # its empty index is returned as built, writeable; the others are read-only.
@@ -711,6 +711,41 @@ def test_decide_capped_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_
     stats = outcome.stats
     tree = (outcome.verdict, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap)
     assert tree == (verdict, nodes, prunes, max_depth, class_cap)
+
+
+@pytest.mark.parametrize(
+    "engine, a, b, c, budget, tree",
+    [
+        ("decide_ramsey", 2, 3, 8, 0, ("holds", 237, 156, 14, 7)),
+        ("decide_ramsey", 3, 2, 8, 0, ("holds", 407, 204, 26, 0)),
+        ("decide_ramsey", 2, 4, 8, 0, ("fails", 2544, 1890, 27, 7)),
+        ("decide_ramsey", 3, 3, 9, 300000, ("holds", 10041, 6685, 54, 28)),
+        ("decide_ramsey", 2, 4, 10, 10**6, ("holds", 783, 581, 25, 9)),
+        ("turan_max_edges", 3, 7, "loose-path-3", 0, ("exact", 493, 241, 0, 0)),
+        ("turan_max_edges", 2, 8, "loose-path-3", 0, ("exact", 232, 99, 0, 0)),
+        ("turan_max_edges", 3, 8, "loose-path-3", 500000, ("exact", 1467, 734, 0, 0)),
+        ("turan_max_edges", 3, 7, "loose-path-2", 0, ("exact", 97, 46, 0, 0)),
+    ],
+)
+def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree):
+    # Both engines read closing rows built from edge bitsets; with the copy
+    # index refused they still visit the pinned tree, and their payloads
+    # (witness or extremal included) match a run on the index-derived rows.
+    def refuse(*args):
+        raise AssertionError(f"copy index {args} built")
+
+    def call():
+        return getattr(search, engine)(a, b, c, budget=budget)
+
+    monkeypatch.setattr(search, "_loose_path_index", refuse)
+    result = call()
+    stats = result.stats
+    head = result.verdict if isinstance(result, search.SearchOutcome) else result.status
+    assert (head, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap) == tree
+    monkeypatch.setattr(search, "_closing_table", reference_lexsort_closing_table)
+    expected = call()
+    assert result.to_json_obj() == expected.to_json_obj()
+    assert (stats.max_depth, stats.class_cap) == (expected.stats.max_depth, expected.stats.class_cap)
 
 
 @pytest.mark.parametrize("k, n, r", [(2, 6, 100), (3, 4, 10), (2, 4, 7), (2, 3, 10**11)])

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .constructions import pair_cover
-from .errors import INDEX_GUARD, InstanceTooLargeError, check_index_guard
+from .errors import InstanceTooLargeError, check_index_guard
 from .hypergraphs import Hypergraph, serialize_hypergraph
 from .patterns import Coloring, find_loose_path, find_mono_loose_path, serialize_coloring
 
@@ -211,40 +211,45 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     one[d] & free[p] (d in the middle) or free[d] & one[p] (p in the middle),
     and a partner in free[d] with those in one[d] & one[p].  A length-2 row
     is (d, one[d]), d its own partner.  The closed-form copy count is checked
-    against INDEX_GUARD first, so the engines refuse what the index would.
+    against INDEX_GUARD first, so the engines refuse what the index would,
+    and an instance without copies gets its empty rows before any bitset.
     """
-    check_index_guard(_copy_count(n, k, length), "loose-path copies")
+    count = _copy_count(n, k, length)
+    check_index_guard(count, "loose-path copies")
+    if not count:
+        return [[] for _ in range(comb(n, k))]
     edges = list(itertools.combinations(range(n), k))
     inc = [0] * n  # inc[v]: the edges through vertex v
     for i, e in enumerate(edges):
         for v in e:
             inc[v] |= 1 << i
     full = (1 << len(edges)) - 1
-    one, free = [], []
-    for e in edges:
+    close, one, free = [], [], []  # one[p], free[p] are kept for the partners p < d only
+    for d, e in enumerate(edges):
         ge1 = ge2 = 0  # the edges meeting e in at least one, at least two vertices
         for v in e:
             ge2 |= ge1 & inc[v]
             ge1 |= inc[v]
-        one.append(ge1 ^ ge2)
-        free.append(full ^ ge1)
-    close = []
-    for d, (od, fd) in enumerate(zip(one, free)):
-        above = full >> d + 1 << d + 1
+        od, fd, above = ge1 ^ ge2, full ^ ge1, full >> d + 1 << d + 1
         if length == 2:
             close.append([(d, od & above)] if od & above else [])
             continue
+        # so[p], sf[p] == "1" iff p < d is in one[d], free[d]; a string index
+        # skips the partners sharing two vertices cheaper than a shift of od.
+        so, sf = bin(od & (1 << d) - 1 | 1 << d)[:2:-1], bin(fd & (1 << d) - 1 | 1 << d)[:2:-1]
         row = []
         for p in range(d):
-            if od >> p & 1:
+            if so[p] == "1":
                 mask = (od & free[p] | fd & one[p]) & above
-            elif fd >> p & 1:
+            elif sf[p] == "1":
                 mask = od & one[p] & above
             else:
                 continue
             if mask:
                 row.append((p, mask))
         close.append(row)
+        one.append(od)
+        free.append(fd)
     return close
 
 
@@ -673,9 +678,7 @@ def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
-    size = r * (comb(n, k) + _copy_count(n, k, 3))
-    if size > INDEX_GUARD:
-        raise InstanceTooLargeError(f"r·(C(n,k) + copies) = {size} exceeds the index guard {INDEX_GUARD}")
+    check_index_guard(r * (comb(n, k) + _copy_count(n, k, 3)), "r·(C(n,k) + copies) entries")
     edges = tuple(itertools.combinations(range(n), k))
     i, j, t = _loose_path_index(n, k, 3).T  # i < t, so each copy sorts to (min(i, j), max(i, min(j, t)), max(j, t))
     triples = np.stack((np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)), axis=1, dtype=np.int64)

@@ -27,7 +27,7 @@ from ramseylab import (
     serialize_hypergraph,
     turan_max_edges,
 )
-from ramseylab import search
+from ramseylab import errors, search
 from ramseylab.search import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_UNKNOWN
 from conftest import oracle_has_loose_path
 from test_acceptance import ORACLE_INSTANCES
@@ -363,7 +363,7 @@ def test_export_cnf_guards_clauses_before_allocating():
         export_cnf(2, 10**11, 4)
     assert time.perf_counter() - start < 1.0
     with pytest.raises(InstanceTooLargeError):
-        export_cnf(2, search.INDEX_GUARD // 18 + 1, 4)
+        export_cnf(2, errors.INDEX_GUARD // 18 + 1, 4)
     assert len(export_cnf(2, 2, 4).clauses) == 6 + 2 * 12
 
 
@@ -382,6 +382,22 @@ def test_enumerate_copy_free_allocates_no_edge_list():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n, k, length", [(18, 7, 3), (18, 10, 2)])
+def test_closing_table_copy_free_builds_no_bitsets(n, k, length):
+    # 31824 and 43758 edges, no copy: the rows come back empty at once, with
+    # no C(n,k)-bit edge bitset and no pass over the C(n,k)^2/2 edge pairs.
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rows = search._closing_table(n, k, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert rows == [[]] * comb(n, k)
+    assert peak < 8 << 20
 
 
 def test_decide_single_color():

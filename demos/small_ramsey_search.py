@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Determine small Ramsey values exactly and cross-check three ways:
 backtracking search, unpruned exhaustive enumeration, and CNF satisfiability.
+The last two share one enumerator, so the independent check is the search
+against either of them.
 """
 
 import time

@@ -64,21 +64,24 @@ class Hypergraph:
     def __repr__(self) -> str:
         return f"Hypergraph(k={self.k}, n={self.n}, m={len(self._edges)})"
 
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the ascending indexes of the edges through it."""
+    def incidence(self) -> dict[int, tuple[int, ...]]:
+        """For each vertex of degree at least one, the ascending indexes of the edges through it.
+
+        It is built from the edges alone, so its size does not grow with n.
+        """
         if self._incidence is None:
-            inc: list[list[int]] = [[] for _ in range(self.n)]
+            inc: dict[int, list[int]] = {}
             for i, e in enumerate(self._edges):
                 for v in e:
-                    inc[v].append(i)
-            self._incidence = tuple(tuple(lst) for lst in inc)
+                    inc.setdefault(v, []).append(i)
+            self._incidence = {v: tuple(ids) for v, ids in inc.items()}
         return self._incidence
 
     def degree(self, v: int) -> int:
         """Number of edges containing vertex v."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        return len(self.incidence()[v])
+        return len(self.incidence().get(v, ()))
 
     def max_degree(self) -> tuple[int, int]:
         """(vertex, degree) of maximum degree; ties go to the smallest vertex id.
@@ -87,20 +90,12 @@ class Hypergraph:
         """
         if not self._edges:
             return (0, 0)
-        inc = self.incidence()
-        best_v, best_d = 0, len(inc[0])
-        for v in range(1, self.n):
-            d = len(inc[v])
-            if d > best_d:
-                best_v, best_d = v, d
-        return (best_v, best_d)
+        v, through = min(self.incidence().items(), key=lambda item: (-len(item[1]), item[0]))
+        return v, len(through)
 
     def support(self) -> tuple[int, ...]:
         """Vertices with degree at least one, ascending."""
-        seen = set()
-        for e in self._edges:
-            seen.update(e)
-        return tuple(sorted(seen))
+        return tuple(sorted(self.incidence()))
 
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:

@@ -41,7 +41,10 @@ class LoosePathWitness:
 def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
     """First loose path of the given length in canonical edge-tuple order.
 
-    Returns None when the hypergraph contains no such path.  Two sound early
+    Returns None when the hypergraph contains no such path.  Both lengths
+    take the partners j of each edge i from the incidence, j > i for length
+    2; length 3 then scans the thirds t through the partner, and j = i or
+    t in {i, j} fail the intersection tests by themselves.  Two sound early
     exits keep dense path-free hosts cheap for length 3: in a star the two
     end edges would both contain the center, and the pattern is connected
     and spans 3k-2 vertices, so it needs a connected component that large.
@@ -54,44 +57,30 @@ def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
     if not edges:
         return None
     inc = h.incidence()
-
-    if length == 2:
-        for i, e1 in enumerate(edges):
-            s1 = set(e1)
-            partners = sorted({j for v in e1 for j in inc[v] if j > i})
-            for j in partners:
-                shared = s1.intersection(edges[j])
-                if len(shared) == 1:
-                    return LoosePathWitness((e1, edges[j]), (next(iter(shared)),))
-        return None
-
-    comp = {v: {v} for v in h.support()}  # connected components, merged per edge
-    for e in edges:
-        if any(comp[v] is not comp[e[0]] for v in e):
-            merged = set().union(*(comp[v] for v in e))
-            comp.update(dict.fromkeys(merged, merged))
-    if is_star(h) is not None or max(map(len, comp.values())) < 3 * h.k - 2:
-        return None
+    if length == 3:
+        comp = {v: {v} for v in inc}  # connected components, merged per edge
+        for e in edges:
+            if any(comp[v] is not comp[e[0]] for v in e):
+                merged = set().union(*(comp[v] for v in e))
+                comp.update(dict.fromkeys(merged, merged))
+        if is_star(h) is not None or max(map(len, comp.values())) < 3 * h.k - 2:
+            return None
 
     for i, e1 in enumerate(edges):
         s1 = set(e1)
-        partners = sorted({j for v in e1 for j in inc[v] if j != i})
-        for j in partners:
+        for j in sorted({j for v in e1 for j in inc[v] if j > i or length == 3}):
             e2 = edges[j]
             shared12 = s1.intersection(e2)
             if len(shared12) != 1:
                 continue
-            a = next(iter(shared12))
+            if length == 2:
+                return LoosePathWitness((e1, e2), tuple(shared12))
             s2 = set(e2)
-            thirds = sorted({t for v in e2 for t in inc[v] if t != i and t != j})
-            for t in thirds:
+            for t in sorted({t for v in e2 for t in inc[v]}):
                 e3 = edges[t]
                 shared23 = s2.intersection(e3)
-                if len(shared23) != 1:
-                    continue
-                if s1.intersection(e3):
-                    continue
-                return LoosePathWitness((e1, e2, e3), (a, next(iter(shared23))))
+                if len(shared23) == 1 and not s1.intersection(e3):
+                    return LoosePathWitness((e1, e2, e3), (*shared12, *shared23))
     return None
 
 
@@ -114,10 +103,8 @@ def is_full_star(h: Hypergraph) -> bool:
     """True when some vertex lies in all C(n-1, k-1) possible edges through it."""
     if not h.edges:
         return False
-    center = is_star(h)
-    if center is None:
-        return False
-    return h.degree(center) == comb(h.n - 1, h.k - 1)
+    # A star's center lies in every edge, so its degree is the edge count.
+    return is_star(h) is not None and len(h) == comb(h.n - 1, h.k - 1)
 
 
 class Coloring:

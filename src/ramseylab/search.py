@@ -473,14 +473,11 @@ def _low_block(m: int, r: int) -> tuple[int, list[list[int]]]:
 def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     """Unpruned oracle: enumerate all r^C(n,k) colorings and test each one.
 
-    Colorings are visited in lexicographic order as prefix colorings of the
-    first edges times a block of low colorings, one bit each in the bitsets
-    of `_low_block`.  Copies inside the low block are folded into one mask
-    up front; copies touching the prefix are folded once per (prefix edges,
-    color), and a prefix coloring adds the masks whose prefix edges all take
-    that color.  Refuses instances with more than 10^8 colorings.  Kept
-    deliberately independent of the backtracking engine so the two can
-    cross-check.
+    Runs `_first_model` on `export_cnf(k, r, n)`: the lex position p of the
+    first path-free coloring gives its colors as base-r digits, and
+    `stats.nodes` is p + 1 (r^C(n,k) if none is free).  Refuses instances
+    with more than 10^8 colorings before any setup.  It shares no search
+    code with the backtracking engine, so the two can cross-check.
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
@@ -491,46 +488,16 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
             f"r^C(n,k) = {total} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}"
         )
     start = time.perf_counter()
-    edges = list(itertools.combinations(range(n), k))
-    index = _loose_path_index(n, k, 3)
-    h, eq = _low_block(m, r) if len(index) else (m, [])  # no copy: the first coloring is the witness
-    span = r ** (m - h)
-    full, bad_low = (1 << span) - 1, 0
-    # closes[high, c]: the low colorings in which some copy with prefix edges
-    # `high` has all its low edges in color c (all of them if it has none).
-    closes: dict[tuple[tuple[int, ...], int], int] = {}
-    for tup in zip(*(col.tolist() for col in index.T)):
-        high = tuple(sorted(e for e in tup if e < h))
-        low = [eq[e - h] for e in tup if e >= h]
-        for c in range(r):
-            hit = functools.reduce(operator.and_, [row[c] for row in low]) if low else full
-            if high:
-                closes[high, c] = closes.get((high, c), 0) | hit
-            else:
-                bad_low |= hit
-        if bad_low == full:
-            break  # every coloring already has a copy inside the low block
-
-    witness_colors = None
-    examined = total
-    for i, prefix in enumerate(itertools.product(range(r), repeat=h)):
-        bad = bad_low
-        for (high, c), mask in closes.items():
-            if all(prefix[e] == c for e in high):
-                bad |= mask
-        if bad != full:
-            pos = (~bad & (bad + 1)).bit_length() - 1
-            witness_colors = [v + 1 for v in prefix] + [pos // r**j % r + 1 for j in reversed(range(m - h))]
-            examined = i * span + pos + 1
-            break
-
+    pos = _first_model(export_cnf(k, r, n))
     witness = None
-    if witness_colors is not None:
-        witness = Coloring(k, n, r, {e: c for e, c in zip(edges, witness_colors)})
+    if pos is not None:
+        edges = itertools.combinations(range(n), k)
+        witness = Coloring(k, n, r, {e: pos // r ** (m - 1 - i) % r + 1 for i, e in enumerate(edges)})
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("exhaustive enumeration produced an invalid witness")
     verdict = VERDICT_HOLDS if witness is None else VERDICT_FAILS
-    return SearchOutcome(verdict, witness, SearchStats(examined, 0, time.perf_counter() - start))
+    nodes = total if pos is None else pos + 1
+    return SearchOutcome(verdict, witness, SearchStats(nodes, 0, time.perf_counter() - start))
 
 
 def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> list[int]:
@@ -689,62 +656,59 @@ def export_cnf(k: int, r: int, n: int) -> CnfInstance:
 
 
 def cnf_satisfiable(instance: CnfInstance) -> bool:
-    """Decide satisfiability by enumerating colorings and evaluating clauses.
+    """Decide satisfiability by enumerating colorings and evaluating clauses (`_first_model`)."""
+    return _first_model(instance) is not None
+
+
+def _first_model(instance: CnfInstance) -> int | None:
+    """Lex position of the first one-hot coloring that satisfies every clause, or None.
 
     Only one-hot assignments (exactly the r^m edge colorings) need checking:
     the at-least-one clauses make every satisfying assignment project onto a
     coloring whose induced one-hot assignment still satisfies every clause.
-    Colorings are factored as in `exhaustive_decide`.  Clauses inside the
-    low block are folded into one mask up front; clauses touching the prefix
-    are grouped by their prefix literals, and a prefix coloring that falsifies
-    a group's literals keeps only the low colorings satisfying the rest of
-    every clause in it.  A clause with all r positive literals of one edge
-    holds on every coloring and is dropped first.  Refuses instances with
-    more than 10^8 colorings, and with ValueError a literal 0 or |lit| > r·m.
+    Colorings are visited in lexicographic order as prefix colorings of the
+    first edges times a block of low colorings, one bit each in the bitsets
+    of `_low_block`.  A clause with all r positive literals of one edge holds
+    on every coloring and is dropped first.  Every other clause folds into
+    the low colorings falsifying its low literals, ORed per group of prefix
+    literals; a prefix coloring falsifying a group's literals adds its mask,
+    and the first low coloring left clear is the model.  Refuses instances
+    with more than 10^8 colorings, and with ValueError a literal 0 or
+    |lit| > r·m.
     """
-    m = len(instance.edges)
-    r = instance.r
-    total = r**m
-    if total > EXHAUSTIVE_GUARD:
-        raise InstanceTooLargeError(
-            f"r^m = {total} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}"
-        )
+    m, r = len(instance.edges), instance.r
+    if r**m > EXHAUSTIVE_GUARD:
+        raise InstanceTooLargeError(f"r^m = {r**m} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}")
     v = instance.num_vars
     stray = {lit for clause in instance.clauses for lit in clause}.difference(range(-v, 0), range(1, v + 1))
     if stray:
         raise ValueError(f"literals must be nonzero with |lit| <= {v}, got {sorted(stray)}")
-    clauses = [c for c in instance.clauses if r not in Counter((lit - 1) // r for lit in set(c) if lit > 0).values()]
-    h, eq = _low_block(m, r) if clauses else (m, [])  # no clause left: the first prefix is sat
-    full = alive_low = (1 << r ** (m - h)) - 1
-    touching: dict[tuple[tuple[int, int, bool], ...], int] = {}
+    clauses = [c for c in instance.clauses
+               if max(c, default=0) < 0 or r not in Counter((lit - 1) // r for lit in set(c) if lit > 0).values()]
+    h, eq = _low_block(m, r) if clauses else (m, [])  # no clause left: the first coloring is a model
+    full = (1 << r ** (m - h)) - 1
+    bad_low = 0
+    groups: dict[tuple[tuple[int, int, bool], ...], int] = {}
     for clause in clauses:
-        # Its low literals are all false where every negative one's color
-        # is taken (neg) and no positive one's (pos).
-        high, pos, neg = [], 0, full
+        high, low = [], []
         for lit in clause:
             e, c = divmod(abs(lit) - 1, r)
             if e < h:
                 high.append((e, c, lit > 0))
-            elif lit > 0:
-                pos |= eq[e - h][c]
             else:
-                neg &= eq[e - h][c]
-        sat = pos | full ^ neg
-        key = tuple(high)
-        if key:
-            touching[key] = touching.get(key, full) & sat
+                low.append(eq[e - h][c] if lit < 0 else full ^ eq[e - h][c])
+        bad = functools.reduce(operator.and_, low) if low else full
+        if high:
+            groups[tuple(high)] = groups.get(tuple(high), 0) | bad
         else:
-            alive_low &= sat
-            if not alive_low:
-                return False
-    for prefix in itertools.product(range(r), repeat=h):
-        alive = alive_low
-        for high, mask in touching.items():
-            if any((prefix[e] == c) == positive for e, c, positive in high):
-                continue
-            alive &= mask
-            if not alive:
-                break
-        else:
-            return True
-    return False
+            bad_low |= bad
+            if bad_low == full:
+                return None  # every coloring falsifies a clause inside the low block
+    for i, prefix in enumerate(itertools.product(range(r), repeat=h)):
+        bad = bad_low
+        for high, mask in groups.items():
+            if all((prefix[e] == c) != positive for e, c, positive in high):
+                bad |= mask
+        if bad != full:
+            return i * full.bit_length() + (~bad & bad + 1).bit_length() - 1
+    return None

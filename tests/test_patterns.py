@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ramseylab import (
     Coloring,
     Hypergraph,
+    LoosePathWitness,
     ParseError,
     complete_hypergraph,
     find_loose_path,
@@ -105,6 +107,83 @@ def test_component_exit_against_oracle(rng):
         assert (witness is not None) == oracle_has_loose_path(h, 3)
         if witness is not None:
             assert witness.verify(h) and witness.edges == first_loose_path(h)
+
+
+def two_loop_find_loose_path(h, length):
+    """`find_loose_path` with one partner loop per length, kept as a reference for its witnesses."""
+    edges = h.edges
+    if not edges:
+        return None
+    inc = h.incidence()
+
+    if length == 2:
+        for i, e1 in enumerate(edges):
+            s1 = set(e1)
+            partners = sorted({j for v in e1 for j in inc[v] if j > i})
+            for j in partners:
+                shared = s1.intersection(edges[j])
+                if len(shared) == 1:
+                    return LoosePathWitness((e1, edges[j]), (next(iter(shared)),))
+        return None
+
+    comp = {v: {v} for v in h.support()}  # connected components, merged per edge
+    for e in edges:
+        if any(comp[v] is not comp[e[0]] for v in e):
+            merged = set().union(*(comp[v] for v in e))
+            comp.update(dict.fromkeys(merged, merged))
+    if is_star(h) is not None or max(map(len, comp.values())) < 3 * h.k - 2:
+        return None
+
+    for i, e1 in enumerate(edges):
+        s1 = set(e1)
+        partners = sorted({j for v in e1 for j in inc[v] if j != i})
+        for j in partners:
+            e2 = edges[j]
+            shared12 = s1.intersection(e2)
+            if len(shared12) != 1:
+                continue
+            a = next(iter(shared12))
+            s2 = set(e2)
+            thirds = sorted({t for v in e2 for t in inc[v] if t != i and t != j})
+            for t in thirds:
+                e3 = edges[t]
+                shared23 = s2.intersection(e3)
+                if len(shared23) != 1:
+                    continue
+                if s1.intersection(e3):
+                    continue
+                return LoosePathWitness((e1, e2, e3), (a, next(iter(shared23))))
+    return None
+
+
+def test_find_loose_path_matches_two_loop_walk(rng):
+    # The first witness, edges and links, on random hosts of both lengths.
+    # The denser hosts on 3k-2 or more vertices are non-stars with a large
+    # component, so the length-3 loop runs on them; count the ones it finds.
+    found = 0
+    for _ in range(400):
+        k = rng.randint(2, 4)
+        h = random_hypergraph(rng, rng.randint(k, 3 * k + 2), k, density=rng.choice([0.05, 0.2, 0.4, 0.7]))
+        for length in (2, 3):
+            witness = find_loose_path(h, length)
+            assert witness == two_loop_find_loose_path(h, length)
+        found += witness is not None
+    assert found >= 100
+
+
+def test_detection_reads_edges_not_declared_vertices():
+    # Two edges declaring 10^6 vertices: no call may build a list per vertex.
+    h = Hypergraph(3, 10**6, [(0, 1, 2), (2, 3, 4)])
+    tracemalloc.start()
+    try:
+        assert find_loose_path(h, 3) is None
+        assert find_loose_path(h, 2).links == (2,)
+        assert is_star(h) == 2 and not is_full_star(h)
+        assert (h.degree(2), h.degree(10**6 - 1), h.max_degree()) == (2, 0, (2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_determinism():

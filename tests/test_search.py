@@ -1225,7 +1225,9 @@ def test_cnf_satisfiability_matches_decide():
 @pytest.mark.parametrize("chunk", [None, 1, 4])
 def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
     # Random clause sets over K_4, about half of them satisfiable; the answer
-    # must match a one-hot brute force.
+    # and `_first_model`'s position must match a one-hot brute force.  The
+    # positive literals run a path of `_first_model` that the all-negative
+    # copy clauses of `exhaustive_decide` never take.
     if chunk:
         monkeypatch.setattr(search, "_CHUNK", chunk)
     edges = tuple(itertools.combinations(range(4), 2))
@@ -1245,14 +1247,18 @@ def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
             clauses = list(clauses[: rng.randint(0, len(clauses))]) + full
             rng.shuffle(clauses)
             clauses = tuple(clauses)
-        expected = any(
-            all(
+        models = (
+            pos
+            for pos, colors in enumerate(itertools.product(range(r), repeat=len(edges)))
+            if all(
                 any((colors[(abs(lit) - 1) // r] == (abs(lit) - 1) % r) == (lit > 0) for lit in clause)
                 for clause in clauses
             )
-            for colors in itertools.product(range(r), repeat=len(edges))
         )
-        assert cnf_satisfiable(CnfInstance(2, 4, r, edges, clauses, 0)) == expected, clauses
+        first = next(models, None)
+        instance = CnfInstance(2, 4, r, edges, clauses, 0)
+        assert search._first_model(instance) == first, clauses
+        assert cnf_satisfiable(instance) == (first is not None), clauses
 
 
 def test_cnf_satisfiable_drops_full_clauses(monkeypatch):

@@ -112,9 +112,9 @@ def _peel(edges: Sequence[tuple], order: Sequence[Hashable], too_low) -> list[tu
 def peel_min_degree(h: Hypergraph) -> Hypergraph:
     """Peel to a nonempty subhypergraph with every degree above |E|/|V|.
 
-    The threshold is fixed from the input (|V| counts all n vertices,
-    isolated ones included).  Vertices with current degree <= threshold are
-    removed smallest-id first until none remain below it.  A charging
+    The threshold is fixed from the input (|V| counts all n vertices).  Vertices
+    of current degree <= threshold are removed smallest-id first until none is;
+    only the support is walked, since an isolated one removes no edge.  A charging
     argument rules out emptying: each edge is charged once, at its first
     removed vertex, for a total of |E|; were every vertex removed, the last
     removal would charge 0 < threshold, forcing the impossible strict bound
@@ -127,7 +127,7 @@ def peel_min_degree(h: Hypergraph) -> Hypergraph:
     if len(h) == 0:
         raise ValueError("peel needs at least one edge")
     threshold = Fraction(len(h), h.n)
-    edges = _peel(h.edges, range(h.n), lambda v, d: d <= threshold)
+    edges = _peel(h.edges, h.support(), lambda v, d: d <= threshold)
     if not edges:
         raise RuntimeError("degree peel emptied the hypergraph; impossible for inputs with an edge")
     return Hypergraph(h.k, h.n, edges)

@@ -34,6 +34,7 @@ STATUS_LOWER_BOUND = "lower-bound-only"
 
 EXHAUSTIVE_GUARD = 100_000_000
 _CHUNK = 1 << 20
+_SLICE = 1 << 14  # copies or clauses per slice of the bulk builders, so their temporaries stay bounded
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ def enumerate_loose_paths(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every copy of the loose path pattern in the complete k-graph, once each.
 
-    Copies are reversal-deduplicated (first edge below last edge), listed in
-    lexicographic order of their ordered edge tuples and read off the cached
-    copy index; past INDEX_GUARD copies the call raises InstanceTooLargeError.
+    Copies are reversal-deduplicated (first edge below last edge), listed in lex
+    order of their ordered edge tuples and read off the cached copy index _SLICE
+    rows at a time; past INDEX_GUARD copies the call raises InstanceTooLargeError.
     """
     if n < 1 or k < 2:
         raise ValueError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
@@ -111,7 +112,10 @@ def enumerate_loose_paths(
     if not len(index):
         return []
     edges = np.fromiter(itertools.combinations(range(n), k), dtype=object, count=comb(n, k))
-    return list(zip(*(edges[col].tolist() for col in index.T)))
+    copies = []
+    for start in range(0, len(index), _SLICE):
+        copies += zip(*(edges[col].tolist() for col in index[start : start + _SLICE].T))
+    return copies
 
 
 @functools.lru_cache(maxsize=4)
@@ -257,17 +261,20 @@ class _FoldMemo(dict):
     """Memo of one closing-table row: x maps to the OR of the masks whose partner's bit is set in x.
 
     Both engines read it for edge d at x = (chosen edges) & partners[d], since
-    the result depends on nothing else; a miss folds the row once.
+    the result depends on nothing else; a miss folds the row once, walking
+    the set bits of x & bits, the partners' bits, lowest first.
     """
 
     def __init__(self, row: list[tuple[int, int]]):
-        self.row = row
+        self.row = {1 << p: mask for p, mask in row}
+        self.bits = sum(self.row)
 
     def __missing__(self, x: int) -> int:
-        folded = 0
-        for p, mask in self.row:
-            if x >> p & 1:
-                folded |= mask
+        folded, y = 0, x & self.bits
+        while y:
+            low = y & -y
+            folded |= self.row[low]
+            y ^= low
         self[x] = folded
         return folded
 
@@ -624,35 +631,40 @@ class CnfInstance:
         return len(self.edges) * self.r
 
     def to_dimacs(self) -> str:
-        """DIMACS text; each run of equal-length clauses is written by one `%` call."""
+        """DIMACS text; each run of equal-length clauses is written by one `%` call per _SLICE clauses."""
         text = [f"c loose-3-path ramsey coloring instance k={self.k} n={self.n} r={self.r}\n"]
         for i, e in enumerate(self.edges):
             for c in range(1, self.r + 1):
                 text.append(f"c var {i * self.r + c} = edge {' '.join(map(str, e))} color {c}\n")
         text.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
         for size, group in itertools.groupby(self.clauses, len):
-            run = tuple(group)
-            text.append((" ".join(["%d"] * size) + " 0\n") * len(run) % tuple(itertools.chain.from_iterable(run)))
+            line = " ".join(["%d"] * size) + " 0\n"
+            while run := tuple(itertools.islice(group, _SLICE)):
+                text.append(line * len(run) % tuple(itertools.chain.from_iterable(run)))
         return "".join(text)
 
 
 def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     """Build the CNF whose satisfiability means n is below the Ramsey number.
 
-    r·(C(n,k) + copies), the at-least-one literals plus the copy clauses, is
-    checked against INDEX_GUARD before anything is allocated.  Its negative
-    literals -(e*r + c), per copy and color c, are built as one (copies, r, 3) array.
+    r·(C(n,k) + copies), the at-least-one literals plus the copy clauses, is checked
+    against INDEX_GUARD before anything is allocated.  The negative literals -(e*r + c)
+    of each copy (i, j, t), sorted to (min(i, j), max(i, min(j, t)), max(j, t)) as i < t,
+    and color c are read from neg _SLICE copies at a time: the clauses share their ints.
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
     check_index_guard(r * (comb(n, k) + _copy_count(n, k, 3)), "r·(C(n,k) + copies) entries")
     edges = tuple(itertools.combinations(range(n), k))
-    i, j, t = _loose_path_index(n, k, 3).T  # i < t, so each copy sorts to (min(i, j), max(i, min(j, t)), max(j, t))
-    triples = np.stack((np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)), axis=1, dtype=np.int64)
-    neg = -(triples[:, None, :] * r + np.arange(1, r + 1)[:, None])
+    index = _loose_path_index(n, k, 3)
+    neg = np.array(range(0, -r * len(edges) - 1, -1), dtype=object)  # neg[v] is the literal -v
     clauses = [tuple(range(i * r + 1, i * r + r + 1)) for i in range(len(edges))]
-    clauses += zip(*neg.reshape(-1, 3).T.tolist())
-    return CnfInstance(k, n, r, edges, tuple(clauses), len(triples))
+    for start in range(0, len(index), _SLICE):
+        i, j, t = index[start : start + _SLICE].T.astype(np.int64)
+        triples = np.stack((np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)), axis=1)
+        var = triples[:, None, :] * r + np.arange(1, r + 1)[:, None]
+        clauses += zip(*(neg[col].tolist() for col in var.reshape(-1, 3).T))
+    return CnfInstance(k, n, r, edges, tuple(clauses), len(index))
 
 
 def cnf_satisfiable(instance: CnfInstance) -> bool:

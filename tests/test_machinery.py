@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -82,6 +83,19 @@ def test_peel_postconditions_random(rng):
         assert len(peeled) >= 1
         assert set(peeled.edges) <= set(h.edges)
         assert min_support_degree(peeled) > threshold
+
+
+def test_peel_reads_the_support_not_declared_vertices():
+    # Two edges declaring 10^6 vertices: the peel may not build a position, an
+    # incidence list or a degree per declared vertex.
+    h = Hypergraph(3, 10**6, [(0, 1, 2), (2, 3, 4)])
+    tracemalloc.start()
+    try:
+        peeled = peel_min_degree(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peeled == h and peak < 1 << 20
 
 
 def test_prune_unchanged_small():

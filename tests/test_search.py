@@ -291,6 +291,44 @@ def test_dimacs_pinned():
     )
 
 
+@pytest.mark.parametrize("size", [1, 7, 997])
+def test_enumerate_slices_match_default(monkeypatch, size):
+    # 997 divides none of the copy counts, so every walk ends on a short slice.
+    cases = [(12, 3, 3), (10, 4, 3), (12, 3, 2)]
+    expected = {case: enumerate_loose_paths(*case) for case in cases}
+    monkeypatch.setattr(search, "_SLICE", size)
+    for case in cases:
+        assert enumerate_loose_paths(*case) == expected[case], case
+
+
+@pytest.mark.parametrize("size", [1, 7, 997])
+def test_export_cnf_slices_match_default(monkeypatch, size):
+    # (3,2,6) holds no copy; (2,3,6) writes its positive and negative clauses as one run.
+    cases = [(3, 2, 10), (2, 3, 6), (3, 1, 7), (3, 2, 6)]
+    expected = {case: export_cnf(*case) for case in cases}
+    texts = {case: inst.to_dimacs() for case, inst in expected.items()}
+    monkeypatch.setattr(search, "_SLICE", size)
+    for case in cases:
+        inst = export_cnf(*case)
+        assert inst == expected[case], case
+        assert inst.to_dimacs() == texts[case], case
+
+
+def test_export_cnf_memory_follows_output():
+    # With its index built, (3,2,10) keeps its 151,895 clauses in under 16 MiB
+    # and peaks under 20 MiB: every clause shares one int object per literal.
+    search._loose_path_index(10, 3, 3)
+    tracemalloc.start()
+    try:
+        inst = export_cnf(3, 2, 10)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 << 20
+    assert peak < 20 << 20
+    assert len({id(lit) for clause in inst.clauses for lit in clause}) <= 2 * 2 * comb(10, 3)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_vertex_swaps(k):
     for n in range(k, 3 * k + 1):

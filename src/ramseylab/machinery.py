@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
+from .errors import check_index_guard
 from .hypergraphs import Hypergraph, canonical_edge
 
 
@@ -190,12 +191,14 @@ def derandomized_split(
     walks vertices in ascending order, placing each on the side whose exact
     conditional expectation is not smaller (ties to U2), so the final count
     can never drop below the initial expectation.  Items not touching v add
-    the same term to both sides, so only the items touching v are summed.
+    the same term to both sides, so only the items touching v are summed and
+    a vertex no item touches goes to U2 on the tie.
     """
     if k < 2:
         raise ValueError(f"uniformity must be at least 2, got {k}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    check_index_guard(n, "vertices")
     items: dict[tuple[int, ...], int] = {}
     for f, v in assignments.items():
         ft = canonical_edge(f, k - 1, n)
@@ -209,15 +212,16 @@ def derandomized_split(
 
     p_u1 = Fraction(1, k)
     p_u2 = Fraction(k - 1, k)
-    expectation = len(items) * p_u1 * p_u2 ** (k - 1)
+    # ((k-1)/k)^(k-1) has about k·log2(k) bits; no item needs it.
+    expectation = len(items) * p_u1 * p_u2 ** (k - 1) if items else Fraction(0)
 
     U1, U2 = 1, 2
     side: list[int | None] = [None] * n
 
-    touching: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    touching: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for f, v in items.items():
         for u in (v, *f):
-            touching[u].append((f, v))
+            touching.setdefault(u, []).append((f, v))
 
     def conditional_expectation(subset) -> Fraction:
         total = Fraction(0)
@@ -225,25 +229,18 @@ def derandomized_split(
             sv = side[v]
             if sv == U2:
                 continue
-            term = p_u1 if sv is None else Fraction(1)
-            dead = False
-            for u in f:
-                su = side[u]
-                if su == U1:
-                    dead = True
-                    break
-                if su is None:
-                    term *= p_u2
-            if not dead:
-                total += term
+            sides = [side[u] for u in f]
+            if U1 not in sides:
+                total += (p_u1 if sv is None else 1) * p_u2 ** sides.count(None)
         return total
 
     for v in range(n):
-        side[v] = U1
-        gain_u1 = conditional_expectation(touching[v])
         side[v] = U2
-        gain_u2 = conditional_expectation(touching[v])
-        side[v] = U1 if gain_u1 > gain_u2 else U2
+        if v in touching:
+            gain_u2 = conditional_expectation(touching[v])
+            side[v] = U1
+            gain_u1 = conditional_expectation(touching[v])
+            side[v] = U1 if gain_u1 > gain_u2 else U2
 
     u1 = tuple(v for v in range(n) if side[v] == U1)
     u2 = tuple(v for v in range(n) if side[v] == U2)

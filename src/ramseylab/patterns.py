@@ -188,8 +188,9 @@ def parse_coloring(text: str) -> Coloring:
     """
     records = read_records(text, "k n m r", 2, trailing=1)
     lineno, (k, n, m, r) = next(records)
-    if m != comb(n, k):
-        raise ParseError(f"m={m} does not equal C({n},{k})={comb(n, k)}", lineno)
+    # C(n,k) >= 2^min(k,n-k) > m once min(k,n-k) reaches m's bit length.
+    if min(k, n - k) >= m.bit_length() or m != comb(n, k):
+        raise ParseError(f"m={m} does not equal C({n},{k})", lineno)
     assignment: dict[tuple[int, ...], int] = {}
     for lineno, edge, (color,) in records:
         if not 1 <= color <= r:

@@ -203,8 +203,8 @@ def _vertex_swaps(n: int, k: int) -> np.ndarray:
     return swaps
 
 
-def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
-    """For each edge d, the pairs (p, mask) with p <= d that close copies, partners ascending.
+def _closing_table(n: int, k: int, length: int) -> list[dict[int, int]]:
+    """For each edge d, the row {1 << p: mask} over the partners p <= d that close copies.
 
     Once d and its partner p are both in one class, every edge whose bit is
     set in mask would close a copy in that class; only bits above d are kept.
@@ -214,14 +214,14 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
     middle in one vertex, so a partner p in one[d] closes with the edges in
     one[d] & free[p] (d in the middle) or free[d] & one[p] (p in the middle),
     and a partner in free[d] with those in one[d] & one[p].  A length-2 row
-    is (d, one[d]), d its own partner.  The closed-form copy count is checked
-    against INDEX_GUARD first, so the engines refuse what the index would,
-    and an instance without copies gets its empty rows before any bitset.
+    is {1 << d: one[d]}, d its own partner.  The closed-form copy count is
+    checked against INDEX_GUARD first, so the engines refuse what the index
+    would, and an instance without copies gets its empty rows before any bitset.
     """
     count = _copy_count(n, k, length)
     check_index_guard(count, "loose-path copies")
     if not count:
-        return [[] for _ in range(comb(n, k))]
+        return [{} for _ in range(comb(n, k))]
     edges = list(itertools.combinations(range(n), k))
     inc = [0] * n  # inc[v]: the edges through vertex v
     for i, e in enumerate(edges):
@@ -236,21 +236,16 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
             ge1 |= inc[v]
         od, fd, above = ge1 ^ ge2, full ^ ge1, full >> d + 1 << d + 1
         if length == 2:
-            close.append([(d, od & above)] if od & above else [])
+            close.append({1 << d: od & above} if od & above else {})
             continue
-        # so[p], sf[p] == "1" iff p < d is in one[d], free[d]; a string index
-        # skips the partners sharing two vertices cheaper than a shift of od.
-        so, sf = bin(od & (1 << d) - 1 | 1 << d)[:2:-1], bin(fd & (1 << d) - 1 | 1 << d)[:2:-1]
-        row = []
-        for p in range(d):
-            if so[p] == "1":
-                mask = (od & free[p] | fd & one[p]) & above
-            elif sf[p] == "1":
-                mask = od & one[p] & above
-            else:
-                continue
+        row, y = {}, (od | fd) & (1 << d) - 1
+        while y:
+            low = y & -y
+            y ^= low
+            p = low.bit_length() - 1
+            mask = (od & free[p] | fd & one[p] if od & low else od & one[p]) & above
             if mask:
-                row.append((p, mask))
+                row[low] = mask
         close.append(row)
         one.append(od)
         free.append(fd)
@@ -260,14 +255,14 @@ def _closing_table(n: int, k: int, length: int) -> list[list[tuple[int, int]]]:
 class _FoldMemo(dict):
     """Memo of one closing-table row: x maps to the OR of the masks whose partner's bit is set in x.
 
-    Both engines read it for edge d at x = (chosen edges) & partners[d], since
-    the result depends on nothing else; a miss folds the row once, walking
-    the set bits of x & bits, the partners' bits, lowest first.
+    Both engines read it for edge d at x = (chosen edges) & bits, since the
+    result depends on nothing else; a miss folds the row once, walking the
+    set bits of x & bits, the partners' bits, lowest first.
     """
 
-    def __init__(self, row: list[tuple[int, int]]):
-        self.row = {1 << p: mask for p, mask in row}
-        self.bits = sum(self.row)
+    def __init__(self, row: dict[int, int]):
+        self.row = row
+        self.bits = sum(row)
 
     def __missing__(self, x: int) -> int:
         folded, y = 0, x & self.bits
@@ -280,18 +275,17 @@ class _FoldMemo(dict):
 
 
 def _tables(n: int, k: int, length: int):
-    """(swaps, close, edges, partners) of K^(k)_n, the tables both engines read.
+    """(swaps, folded, edges) of K^(k)_n, the tables both engines read.
 
     swaps are the rows of `_vertex_swaps` as lists, each ending in the
     sentinel C(n,k); they are built first, so their guard stops an instance
-    without copies.  close is `_closing_table`, built from edge bitsets
-    without the copy index, edges lists the k-sets in lex order and
-    partners[d] is the OR of the partner bits of close[d].
+    without copies.  folded[d] is the `_FoldMemo` of row d of
+    `_closing_table`, built from edge bitsets without the copy index, and
+    edges lists the k-sets in lex order.
     """
     swaps = [s + [len(s)] for s in _vertex_swaps(n, k).tolist()]
-    close = _closing_table(n, k, length)
-    partners = [sum(1 << p for p, _ in row) for row in close]
-    return swaps, close, list(itertools.combinations(range(n), k)), partners
+    folded = [_FoldMemo(row) for row in _closing_table(n, k, length)]
+    return swaps, folded, list(itertools.combinations(range(n), k))
 
 
 def _lex_leader(d, word, used, waiting, trail):
@@ -324,27 +318,29 @@ def _lex_leader(d, word, used, waiting, trail):
     return True
 
 
-def _run_canonical_dfs(r, swaps, close, partners, budget, seed=None):
+def _run_canonical_dfs(r, swaps, folded, budget, seed=None):
     """Backtracking over edges in lex order for the lex-least good coloring.
 
     colors[d] is the color assigned or last tried at depth d, and cls[c]
     the bitmask of the edges before depth d colored c.  threat[c] holds the
     edges that would close a monochromatic copy in color c, and saved[d] is
     threat[colors[d]] before edge d took its color; coloring d with c ORs in
-    the closing masks of its partners in cls[c], read from folded[d] at
-    x = cls[c] & partners[d].  Edge d may take color c only if colors
-    1..c-1 appear before it.  With a seed, each attempt steps `_turan_steps`
-    on these tables one node until it returns ex.  A descent is pruned by
-    three tests, in this order: forward checking, once all r colors are in
-    use and a later edge is in every threat mask; the class cap, once ex is
-    known, when the sum over colors c of min(ex - |cls[c]|, later edges not
-    in threat[c]) is below the edges left; and `_lex_leader`, when the image
-    under a vertex swap (i i+1) is lex-smaller.  The order does not change
-    the tree, since a prune pops the waits `_lex_leader` added.
+    the closing masks of its partners in cls[c], read from the fold memo
+    folded[d] at x = cls[c] & partners[d], partners[d] being its bits.  Edge
+    d may take color c only if colors 1..c-1 appear before it.  With a seed,
+    each attempt steps `_turan_steps` on these tables one node until it
+    returns ex.  A descent is pruned by three tests, in this order: forward
+    checking, once all r colors are in use and a later edge is in every
+    threat mask; the class cap, once ex is known, when the sum over colors c
+    of min(ex - |cls[c]|, later edges not in threat[c]) is below the edges
+    left; and `_lex_leader`, when the image under a vertex swap (i i+1) is
+    lex-smaller.  The order does not change the tree, since a prune pops the
+    waits `_lex_leader` added.
     `decide_ramsey` passes min(r, C(n,k)) colors; more only add empty classes.
     Returns (result, colors, nodes, prunes, max_depth, ex or 0).
     """
-    m = len(close)
+    m = len(folded)
+    partners = [f.bits for f in folded]
     colors = [0] * m
     used = [0] * (m + 1)
     threat = [0] * (r + 1)
@@ -352,8 +348,7 @@ def _run_canonical_dfs(r, swaps, close, partners, budget, seed=None):
     cls = [0] * (r + 1)
     bits = [1 << d for d in range(m)]
     classes = range(1, r + 1)
-    folded = [_FoldMemo(row) for row in close]
-    steps = None if seed is None else _turan_steps(swaps, partners, folded, seed)
+    steps = None if seed is None else _turan_steps(swaps, folded, seed)
     waiting = [[] for _ in range(m + 1)]
     for s in swaps:
         waiting[s[0]].append((s, 0, (0,) * (r + 1)))
@@ -437,12 +432,12 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    swaps, close, edges, partners = _tables(n, k, 3)
+    swaps, folded, edges = _tables(n, k, 3)
     built = time.perf_counter()
     seed = _turan_seed(k, n, PATTERN_LOOSE_PATH_3, edges)
     # A coloring uses at most C(n,k) colors, so more would only add empty classes.
     dfs_r = min(r, len(edges))
-    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(dfs_r, swaps, close, partners, budget, seed)
+    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(dfs_r, swaps, folded, budget, seed)
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
@@ -517,7 +512,7 @@ def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> l
     return [index[(v, v + 1)] for v in range(0, n - 1, 2)]
 
 
-def _turan_steps(swaps, partners, folded, seed):
+def _turan_steps(swaps, folded, seed):
     """The branch and bound of `turan_max_edges` as a generator on its own stack.
 
     It yields the node count on entering a node, stops there when sent a true
@@ -526,7 +521,8 @@ def _turan_steps(swaps, partners, folded, seed):
     `_lex_leader` on word with the identity renaming prunes a node whose image
     under a vertex swap includes an edge first where the word excludes one.
     """
-    m = len(partners)
+    m = len(folded)
+    partners = [f.bits for f in folded]
     best_count, best_sel = len(seed), seed
     waiting = [[] for _ in range(m + 1)]
     for s in swaps:
@@ -589,9 +585,9 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    swaps, close, edges, partners = _tables(n, k, length)
+    swaps, folded, edges = _tables(n, k, length)
     built = time.perf_counter()
-    steps = _turan_steps(swaps, partners, [_FoldMemo(row) for row in close], _turan_seed(k, n, pattern, edges))
+    steps = _turan_steps(swaps, folded, _turan_seed(k, n, pattern, edges))
     try:
         nodes = next(steps)
         while True:

@@ -1,12 +1,22 @@
 import hashlib
+import itertools
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ramseylab.cli import main
-from ramseylab import parse_coloring, parse_hypergraph, find_mono_loose_path
+from ramseylab import (
+    Coloring,
+    Hypergraph,
+    find_mono_loose_path,
+    parse_coloring,
+    parse_hypergraph,
+    serialize_coloring,
+    serialize_hypergraph,
+)
 
 
 def run(capsys, *argv):
@@ -304,6 +314,103 @@ def test_machinery_malformed_json_is_a_usage_error(tmp_path, capsys, op, data):
     code, _, err = run(capsys, "machinery", op, "--input", str(source))
     assert code == 64
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, k, code", [(3, 10**7, 0), (10**9, 2, 64)])
+def test_machinery_split_cost_follows_its_input(tmp_path, capsys, n, k, code):
+    # No set needs ((k-1)/k)^(k-1), and 10^9 vertices are refused before
+    # a side per vertex is allocated.
+    source = tmp_path / "s.json"
+    source.write_text(json.dumps({"n": n, "k": k, "assignments": []}))
+    start = time.perf_counter()
+    got, out, err = run(capsys, "machinery", "split", "--input", str(source), "--json")
+    assert time.perf_counter() - start < 2.0
+    assert got == code and "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["payload"] == {"expectation": "0", "proper_count": 0, "u1": [], "u2": [0, 1, 2]}
+    else:
+        assert err.startswith("error: ") and "vertices" in err
+
+
+def test_coloring_header_with_huge_binomial_is_a_parse_error(tmp_path, capsys):
+    # C(10^11, 10^6) has about 2·10^7 bits; m = 5 is refused without it.
+    source = tmp_path / "c.col"
+    source.write_text("1000000 100000000000 5 1\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify-coloring", str(source))
+    assert time.perf_counter() - start < 2.0
+    assert code == 65 and err.startswith("error: line 1: m=5 does not equal")
+
+
+# Drawn inputs for the exit-code sweep: small JSON values with the machinery
+# field names, and line soups, hypergraphs and colorings as text.
+JSON_VALUES = st.recursive(
+    st.one_of(st.integers(-3, 9), st.text(max_size=3), st.just(True), st.just(float("nan"))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=2), inner, max_size=4)),
+    max_leaves=10,
+)
+SMALL_INTS = st.lists(st.integers(-1, 6), max_size=4)
+MACHINERY_FIELDS = {
+    "n": st.integers(-1, 8),
+    "k": st.integers(-1, 5),
+    "assignments": st.lists(st.tuples(SMALL_INTS, st.integers(-1, 6)), max_size=4),
+    "weights": st.dictionaries(st.text(max_size=2), st.one_of(st.integers(-2, 9), st.sampled_from(["1/2", "-3", "x"]))),
+    "left": st.lists(st.integers(0, 3), max_size=8) | st.lists(st.text(max_size=1), max_size=4),
+    "right": st.lists(st.integers(3, 7), max_size=10),
+    "edges": st.lists(st.tuples(st.integers(0, 3), st.integers(4, 7)), max_size=3),
+}
+JSON_OBJECTS = st.fixed_dictionaries(MACHINERY_FIELDS) | st.fixed_dictionaries(
+    {}, optional={name: st.one_of(field, JSON_VALUES) for name, field in MACHINERY_FIELDS.items()}
+)
+TEXT_LINES = st.lists(
+    st.one_of(SMALL_INTS.map(lambda xs: " ".join(map(str, xs))), st.sampled_from(["", "#", "x", "1.5", "10000000000"])),
+    max_size=8,
+).map("\n".join)
+
+
+@st.composite
+def hypergraph_texts(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 7))
+    pool = list(itertools.combinations(range(n), k))
+    return serialize_hypergraph(Hypergraph(k, n, draw(st.lists(st.sampled_from(pool), max_size=10))))
+
+
+@st.composite
+def coloring_texts(draw):
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k, 6))
+    r = draw(st.integers(1, 3))
+    return serialize_coloring(Coloring(k, n, r, {e: draw(st.integers(1, r)) for e in itertools.combinations(range(n), k)}))
+
+
+def sweep(tmp_path, capsys, argv, text):
+    source = tmp_path / "input"
+    source.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, *[str(source) if arg == "{input}" else arg for arg in argv])
+    assert code in (0, 1, 2, 64, 65), (code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(op=st.sampled_from(["peel", "prune", "tripartition", "split"]), data=JSON_OBJECTS, as_json=st.booleans())
+@example(op="split", data={"n": 5, "k": 3, "assignments": [[[0, 1], 2], [[0], 3]]}, as_json=False)
+def test_machinery_exit_codes_on_drawn_json(tmp_path, capsys, op, data, as_json):
+    argv = ["machinery", op, "--input", "{input}"] + ["--json"] * as_json
+    sweep(tmp_path, capsys, argv, json.dumps(data))
+
+
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=st.sampled_from(
+        [["detect", "--input", "{input}", "--pattern", p] + c for p in ("loose-path-3", "loose-path-2", "star") for c in ([], ["--coloring"])]
+        + [["verify-coloring", "{input}"]]
+    ),
+    text=st.one_of(TEXT_LINES, hypergraph_texts(), coloring_texts()),
+    as_json=st.booleans(),
+)
+def test_detect_exit_codes_on_drawn_text(tmp_path, capsys, argv, text, as_json):
+    sweep(tmp_path, capsys, argv + ["--json"] * as_json, text)
 
 
 def test_usage_errors(capsys):

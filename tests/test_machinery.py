@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -359,6 +360,29 @@ def test_split_empty():
     split = derandomized_split({}, 4, 3)
     assert split.proper_count == 0 and split.expectation == 0
     assert split.u1 == () and split.u2 == (0, 1, 2, 3)
+
+
+def test_split_takes_one_power_per_term():
+    # One set of 999 vertices: each conditional term is ((k-1)/k)^j for the j
+    # undecided vertices of the set, one power rather than j products.
+    start = time.perf_counter()
+    split = derandomized_split({tuple(range(999)): 1100}, 1200, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert split.proper_count == 1
+    assert split.expectation == Fraction(1, 1000) * Fraction(999, 1000) ** 999
+
+
+def test_split_memory_follows_touched_vertices():
+    # 10^5 untouched vertices keep one side each and their output tuples,
+    # about 4.7 MiB; a list of items per vertex would add 6 MiB more.
+    tracemalloc.start()
+    try:
+        split = derandomized_split({}, 10**5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.u2 == tuple(range(10**5))
+    assert peak < 8 << 20
 
 
 def test_split_rejects_apex_inside_set():

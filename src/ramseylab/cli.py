@@ -11,6 +11,7 @@ import json
 import operator
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,18 +115,11 @@ def cmd_ramsey(args, started: float) -> int:
     if outcome.verdict == VERDICT_FAILS and args.witness_out:
         Path(args.witness_out).write_text(serialize_coloring(outcome.witness), encoding="utf-8")
     params = {"k": args.k, "r": args.r, "n": args.n, "budget": args.budget}
-    summary = (
-        f"ramsey k={args.k} r={args.r} n={args.n}: {outcome.verdict}"
-        f" (nodes={outcome.stats.nodes}, prunes={outcome.stats.prunes},"
-        f" max_depth={outcome.stats.max_depth})"
-    )
     stats = outcome.stats
+    summary = (f"ramsey k={args.k} r={args.r} n={args.n}: {outcome.verdict}"
+               f" (nodes={stats.nodes}, prunes={stats.prunes}, max_depth={stats.max_depth})")
     _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary, stats, class_cap=stats.class_cap)
-    if outcome.verdict == VERDICT_HOLDS:
-        return EXIT_OK
-    if outcome.verdict == VERDICT_FAILS:
-        return EXIT_WITNESS
-    return EXIT_UNKNOWN
+    return {VERDICT_HOLDS: EXIT_OK, VERDICT_FAILS: EXIT_WITNESS}.get(outcome.verdict, EXIT_UNKNOWN)
 
 
 def cmd_turan(args, started: float) -> int:
@@ -236,6 +230,19 @@ def _json_fields(text: str, **readers) -> list:
     return fields
 
 
+def _weight(w) -> Fraction:
+    """Fraction(w), refusing first a decimal exponent past ±10^5, on which Fraction spends time that grows with it."""
+    exp = w.lower().rpartition("e")[2].replace("_", "").strip() if isinstance(w, str) and "e" in w.lower() else ""
+    if exp.lstrip("+-").isdecimal() and abs(int(exp)) > 10**5:
+        raise ValueError(f"the exponent of weight {w!r} is past ±10^5")
+    return Fraction(w)
+
+
+def _exact(q: Fraction) -> str:
+    """str(q), also past Python's 4300-digit int-to-str limit: Decimal writes an int of any length."""
+    return "/".join(str(Decimal(x)) for x in (q.numerator, q.denominator)[: 1 + (q.denominator != 1)])
+
+
 def cmd_machinery(args, started: float) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     if args.op == "peel":
@@ -255,14 +262,11 @@ def cmd_machinery(args, started: float) -> int:
         }
         summary = f"prune: {len(pruned.edges)} edges remain"
     elif args.op == "tripartition":
-        (weights,) = _json_fields(text, weights=lambda x: {v: Fraction(w) for v, w in x.items()})
+        (weights,) = _json_fields(text, weights=lambda x: {v: _weight(w) for v, w in x.items()})
         tri = greedy_tripartition(weights)
-        payload = {
-            "parts": [list(p) for p in tri.parts],
-            "sums": [str(s) for s in tri.sums],
-            "gap": str(tri.gap),
-        }
-        summary = f"tripartition: sums {', '.join(str(s) for s in tri.sums)}"
+        sums = [_exact(s) for s in tri.sums]
+        payload = {"parts": [list(p) for p in tri.parts], "sums": sums, "gap": _exact(tri.gap)}
+        summary = f"tripartition: sums {', '.join(sums)}"
     else:
         n, k, assignments = _json_fields(
             text, n=operator.index, k=operator.index,
@@ -275,9 +279,9 @@ def cmd_machinery(args, started: float) -> int:
             "u1": list(split.u1),
             "u2": list(split.u2),
             "proper_count": split.proper_count,
-            "expectation": str(split.expectation),
+            "expectation": _exact(split.expectation),
         }
-        summary = f"split: proper_count={split.proper_count} >= expectation={split.expectation}"
+        summary = f"split: proper_count={split.proper_count} >= expectation={payload['expectation']}"
     _emit(args, f"machinery {args.op}", {"input": args.input}, payload, started, summary)
     return EXIT_OK
 

@@ -157,12 +157,7 @@ class Coloring:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
-        return (
-            self.k == other.k
-            and self.n == other.n
-            and self.r == other.r
-            and self._assignment == other._assignment
-        )
+        return (self.k, self.n, self.r, self._assignment) == (other.k, other.n, other.r, other._assignment)
 
     def __repr__(self) -> str:
         return f"Coloring(k={self.k}, n={self.n}, r={self.r})"

@@ -11,6 +11,7 @@ import functools
 import itertools
 import operator
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -35,6 +36,7 @@ STATUS_LOWER_BOUND = "lower-bound-only"
 EXHAUSTIVE_GUARD = 100_000_000
 _CHUNK = 1 << 20
 _SLICE = 1 << 14  # copies or clauses per slice of the bulk builders, so their temporaries stay bounded
+_MEMO_BOUND = 1 << 14  # fold-memo entries one engine run keeps; a miss past it clears every memo of the run
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class SearchStats:
     seconds: float
     max_depth: int = 0  # deepest edge index the Ramsey DFS reached; 0 for the other engines
     # Phase seconds of `decide_ramsey` and `turan_max_edges`: building the
-    # index, closing and swap tables, the search loop, re-checking the witness.
+    # swap table and edge bitsets, the search loop, re-checking the witness.
     build_s: float = 0.0
     search_s: float = 0.0
     verify_s: float = 0.0
@@ -203,89 +205,88 @@ def _vertex_swaps(n: int, k: int) -> np.ndarray:
     return swaps
 
 
-def _closing_table(n: int, k: int, length: int) -> list[dict[int, int]]:
-    """For each edge d, the row {1 << p: mask} over the partners p <= d that close copies.
+class _FoldMemo(dict):
+    """Memo of edge d's fold: x, a set of partners of d, maps to the edges above d closing a copy with d and them.
 
-    Once d and its partner p are both in one class, every edge whose bit is
-    set in mask would close a copy in that class; only bits above d are kept.
-    The rows come from edge bitsets, not the copy index: one[e] holds the
-    edges that meet e in exactly one vertex and free[e] those disjoint from
-    it.  The end edges of a loose 3-path are disjoint and each meets the
-    middle in one vertex, so a partner p in one[d] closes with the edges in
-    one[d] & free[p] (d in the middle) or free[d] & one[p] (p in the middle),
-    and a partner in free[d] with those in one[d] & one[p].  A length-2 row
-    is {1 << d: one[d]}, d its own partner.  The closed-form copy count is
-    checked against INDEX_GUARD first, so the engines refuse what the index
-    would, and an instance without copies gets its empty rows before any bitset.
+    Both engines read it at x = (chosen edges) & bits.  A miss folds x from
+    the bitsets of its `_Folds` run, first clearing all the run's memos once
+    they keep _MEMO_BOUND entries; entries are pure, so this changes no tree.
     """
-    count = _copy_count(n, k, length)
-    check_index_guard(count, "loose-path copies")
-    if not count:
-        return [{} for _ in range(comb(n, k))]
-    edges = list(itertools.combinations(range(n), k))
-    inc = [0] * n  # inc[v]: the edges through vertex v
-    for i, e in enumerate(edges):
-        for v in e:
-            inc[v] |= 1 << i
-    full = (1 << len(edges)) - 1
-    close, one, free = [], [], []  # one[p], free[p] are kept for the partners p < d only
-    for d, e in enumerate(edges):
-        ge1 = ge2 = 0  # the edges meeting e in at least one, at least two vertices
-        for v in e:
-            ge2 |= ge1 & inc[v]
-            ge1 |= inc[v]
-        od, fd, above = ge1 ^ ge2, full ^ ge1, full >> d + 1 << d + 1
-        if length == 2:
-            close.append({1 << d: od & above} if od & above else {})
-            continue
-        row, y = {}, (od | fd) & (1 << d) - 1
+
+    __slots__ = ("d", "bits", "run")
+
+    def __init__(self, d: int, bits: int, run):
+        self.d, self.bits, self.run = d, bits, run
+
+    def __missing__(self, x: int) -> int:
+        run, d, one, free = self.run, self.d, self.run.one, self.run.free
+        a = b = 0
+        y = x & self.bits
         while y:
             low = y & -y
             y ^= low
             p = low.bit_length() - 1
-            mask = (od & free[p] | fd & one[p] if od & low else od & one[p]) & above
-            if mask:
-                row[low] = mask
-        close.append(row)
-        one.append(od)
-        free.append(fd)
-    return close
+            if one[d] & low:
+                a |= free[p]
+                b |= one[p]
+            else:
+                a |= one[p]
+        if run.entries >= _MEMO_BOUND:
+            run.entries = 0
+            for memo in run:
+                memo.clear()
+        run.entries += 1
+        self[x] = folded = (one[d] & a | free[d] & b) >> d + 1 << d + 1
+        return folded
 
 
-class _FoldMemo(dict):
-    """Memo of one closing-table row: x maps to the OR of the masks whose partner's bit is set in x.
+class _Folds(list):
+    """One engine run's `_FoldMemo` per edge, the edge bitsets they fold and their entry count.
 
-    Both engines read it for edge d at x = (chosen edges) & bits, since the
-    result depends on nothing else; a miss folds the row once, walking the
-    set bits of x & bits, the partners' bits, lowest first.
+    one[e] holds the edges meeting e in exactly one vertex, free[e] those
+    disjoint from it.  The end edges of a loose 3-path are disjoint and each
+    meets the middle in one vertex, so a partner p in one[d] closes with the
+    edges in one[d] & free[p] or free[d] & one[p], and a partner in free[d]
+    with those in one[d] & one[p]; at length 2, d is its own partner and
+    closes with one[d].  The memos hold a weak proxy of the run, so no cycle
+    keeps a finished run alive, and the edges without partners share one memo.
     """
 
-    def __init__(self, row: dict[int, int]):
-        self.row = row
-        self.bits = sum(row)
-
-    def __missing__(self, x: int) -> int:
-        folded, y = 0, x & self.bits
-        while y:
-            low = y & -y
-            folded |= self.row[low]
-            y ^= low
-        self[x] = folded
-        return folded
+    def __init__(self, one: list[int], free: list[int], partners: list[int]):
+        self.one, self.free, self.entries = one, free, 0
+        run = weakref.proxy(self)
+        empty = _FoldMemo(0, 0, run)  # an empty fold is 0 whatever the edge
+        self.extend(_FoldMemo(d, bits, run) if bits else empty for d, bits in enumerate(partners))
 
 
 def _tables(n: int, k: int, length: int):
     """(swaps, folded, edges) of K^(k)_n, the tables both engines read.
 
     swaps are the rows of `_vertex_swaps` as lists, each ending in the
-    sentinel C(n,k); they are built first, so their guard stops an instance
-    without copies.  folded[d] is the `_FoldMemo` of row d of
-    `_closing_table`, built from edge bitsets without the copy index, and
-    edges lists the k-sets in lex order.
+    sentinel C(n,k), folded the `_Folds` and edges the k-sets in lex order.
+    Nothing is built per copy: with copies, C(n,k)^2 edge pairs are checked
+    against INDEX_GUARD before anything is allocated; without, no bitset is.
     """
+    if copies := _copy_count(n, k, length):
+        check_index_guard(comb(n, k) ** 2, "edge pairs")
     swaps = [s + [len(s)] for s in _vertex_swaps(n, k).tolist()]
-    folded = [_FoldMemo(row) for row in _closing_table(n, k, length)]
-    return swaps, folded, list(itertools.combinations(range(n), k))
+    edges = list(itertools.combinations(range(n), k))
+    one = free = partners = [0] * len(edges)
+    if copies:
+        inc = [0] * n  # inc[v]: the edges through vertex v
+        for i, e in enumerate(edges):
+            for v in e:
+                inc[v] |= 1 << i
+        full, one, free = (1 << len(edges)) - 1, [], []
+        for e in edges:
+            ge1 = ge2 = 0  # the edges meeting e in at least one, at least two vertices
+            for v in e:
+                ge2 |= ge1 & inc[v]
+                ge1 |= inc[v]
+            one.append(ge1 ^ ge2)
+            free.append(full ^ ge1)
+        partners = [1 << d if length == 2 else (one[d] | free[d]) & (1 << d) - 1 for d in range(len(edges))]
+    return swaps, _Folds(one, free, partners), edges
 
 
 def _lex_leader(d, word, used, waiting, trail):
@@ -435,7 +436,6 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     swaps, folded, edges = _tables(n, k, 3)
     built = time.perf_counter()
     seed = _turan_seed(k, n, PATTERN_LOOSE_PATH_3, edges)
-    # A coloring uses at most C(n,k) colors, so more would only add empty classes.
     dfs_r = min(r, len(edges))
     verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(dfs_r, swaps, folded, budget, seed)
     searched = time.perf_counter()

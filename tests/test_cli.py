@@ -11,6 +11,7 @@ from ramseylab.cli import main
 from ramseylab import (
     Coloring,
     Hypergraph,
+    derandomized_split,
     find_mono_loose_path,
     parse_coloring,
     parse_hypergraph,
@@ -330,6 +331,55 @@ def test_machinery_split_cost_follows_its_input(tmp_path, capsys, n, k, code):
         assert json.loads(out)["payload"] == {"expectation": "0", "proper_count": 0, "u1": [], "u2": [0, 1, 2]}
     else:
         assert err.startswith("error: ") and "vertices" in err
+
+
+def long_str(x):
+    """str(x) for 0 <= x < 10^8000, written in two parts under Python's 4300-digit int-to-str limit."""
+    high, low = divmod(x, 10**4000)
+    return f"{high}{low:04000d}" if high else str(low)
+
+
+def test_machinery_prints_results_past_the_digit_limit(tmp_path, capsys):
+    # 10^5000 and 10^-5000 have 5001 digits, and the split's expectation
+    # over 4700: all past Python's 4300-digit int-to-str limit, yet written
+    # in full, as text and as JSON.
+    big = "1" + "0" * 5000
+    source = tmp_path / "w.json"
+    source.write_text(json.dumps({"weights": {"a": "1e5000", "b": "3", "c": "1e-5000"}}))
+    code, out, err = run(capsys, "machinery", "tripartition", "--input", str(source), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert payload["sums"] == ["1/" + big, "3", big]
+    assert payload["gap"] == "9" * 10000 + "/" + big
+    code, out, _ = run(capsys, "machinery", "tripartition", "--input", str(source))
+    assert (code, out) == (0, f"tripartition: sums 1/{big}, 3, {big}\n")
+    assignments = {tuple(range(1499)): 1550}
+    source.write_text(json.dumps({"n": 1600, "k": 1500, "assignments": [[list(f), v] for f, v in assignments.items()]}))
+    code, out, err = run(capsys, "machinery", "split", "--input", str(source), "--json")
+    assert (code, err) == (0, "")
+    q = derandomized_split(assignments, 1600, 1500).expectation
+    assert len(long_str(q.denominator)) > 4300
+    assert json.loads(out)["payload"]["expectation"] == f"{long_str(q.numerator)}/{long_str(q.denominator)}"
+
+
+@pytest.mark.parametrize("weight", ["1e10000000", "-2.5E-100001", "1e1_000_000", " 3e+0100001 "])
+def test_tripartition_refuses_huge_exponents_at_once(tmp_path, capsys, weight):
+    # Fraction's time grows with the exponent, not with the text: "1e10000000"
+    # alone took seconds.  Exponents past ±10^5 are refused before parsing.
+    source = tmp_path / "w.json"
+    source.write_text(json.dumps({"weights": {"a": weight}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "machinery", "tripartition", "--input", str(source))
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and err.startswith("error: ") and "exponent" in err
+
+
+def test_tripartition_accepts_the_largest_exponent(tmp_path, capsys):
+    source = tmp_path / "w.json"
+    source.write_text(json.dumps({"weights": {"a": "1e100000", "b": "1E-1_0_0000"}}))
+    code, out, _ = run(capsys, "machinery", "tripartition", "--input", str(source), "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["sums"] == ["0", "1/1" + "0" * 100000, "1" + "0" * 100000]
 
 
 def test_coloring_header_with_huge_binomial_is_a_parse_error(tmp_path, capsys):

@@ -141,22 +141,44 @@ def reference_closing_rows(edges, length):
     return close
 
 
+def check_folds(folded, rows, rng, draws=4):
+    """Each memo folds drawn partner sets, whatever else is set, to the OR of the reference row's masks.
+
+    rows[d] maps each partner p of edge d with a nonzero mask to that mask;
+    the memo's partners may add partners whose mask is empty.  The memo keeps
+    each result under the set it was asked for.
+    """
+    m = len(rows)
+    for d, (memo, row) in enumerate(zip(folded, rows)):
+        assert sum(1 << p for p in row) & ~memo.bits == 0, d
+        for _ in range(draws):
+            x = rng.getrandbits(m) if m else 0
+            expected = functools.reduce(operator.or_, (mask for p, mask in row.items() if x >> p & 1), 0)
+            assert memo[x & memo.bits] == expected, (d, x)
+            assert dict.get(memo, x & memo.bits) == expected, (d, x)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_index_matches_reference_walk(k):
+def test_index_matches_reference_walk(k, rng):
+    # The partners of edge d are the earlier edges meeting it in at most one
+    # vertex (d itself at length 2), and none when K^(k)_n holds no copy.
     for n in range(k, 3 * k + 1):
         edges = list(itertools.combinations(range(n), k))
+        meets = edge_meets(edges)
         for length in (2, 3):
             cols = reference_index_columns(edges, length)
             expected = list(zip(*([edges[i] for i in col] for col in cols)))
             assert enumerate_loose_paths(n, k, length) == expected, (n, length)
-            table = search._closing_table(n, k, length)
-            rows = [{b.bit_length() - 1: mask for b, mask in row.items()} for row in table]
-            assert rows == reference_closing_rows(edges, length), (n, length)
+            _, folded, _ = search._tables(n, k, length)
+            partners = [sum(1 << p for p in range(d) if meets[p, d] <= 1) if length == 3 else 1 << d
+                        for d in range(len(edges))]
+            assert [memo.bits for memo in folded] == (partners if expected else [0] * len(edges)), (n, length)
+            check_folds(folded, reference_closing_rows(edges, length), rng)
 
 
 def pair_rows(n, k, length):
-    """The rows of `search._closing_table` as (p, mask) lists, partners ascending."""
-    return [[(b.bit_length() - 1, mask) for b, mask in row.items()] for row in search._closing_table(n, k, length)]
+    """The rows of `reference_lexsort_closing_table` as (p, mask) lists, partners ascending."""
+    return [[(b.bit_length() - 1, mask) for b, mask in row.items()] for row in reference_lexsort_closing_table(n, k, length)]
 
 
 def reference_lexsort_index(n, k, length):
@@ -205,7 +227,7 @@ def reference_lexsort_closing_table(n, k, length):
 
 
 @pytest.mark.parametrize("n, k, length", [(12, 3, 3), (12, 3, 2), (10, 4, 3), (9, 4, 3), (11, 4, 3), (13, 5, 3)])
-def test_tables_match_lexsort_builds(n, k, length):
+def test_tables_match_lexsort_builds(n, k, length, rng):
     # (9,4,3) holds no copy (a loose 3-path needs 3k-2 = 10 vertices), and
     # its empty index is returned as built, writeable; the others are read-only.
     expected = reference_lexsort_index(n, k, length)
@@ -213,7 +235,8 @@ def test_tables_match_lexsort_builds(n, k, length):
     assert index.dtype == expected.dtype and index.shape == expected.shape
     assert index.flags.writeable == (not len(expected))
     assert np.array_equal(index, expected)
-    assert search._closing_table(n, k, length) == reference_lexsort_closing_table(n, k, length)
+    rows = reference_lexsort_closing_table(n, k, length)
+    check_folds(search._tables(n, k, length)[1], [{b.bit_length() - 1: mask for b, mask in row.items()} for row in rows], rng)
 
 
 @st.composite
@@ -357,26 +380,19 @@ def test_vertex_swaps(k):
 
 
 @functools.lru_cache(maxsize=None)
-def cached_closing_table(n, k, length):
-    return search._closing_table(n, k, length)
+def cached_reference_rows(n, k, length):
+    return [{b.bit_length() - 1: mask for b, mask in row.items()} for row in reference_lexsort_closing_table(n, k, length)]
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from([(k, length) for k in (2, 3, 4) for length in (2, 3)]), st.data())
 def test_fold_matches_partner_scan(case, data):
     # Both engines read `folded[d][chosen & folded[d].bits]`; it must equal
-    # the scan over the partners in the chosen set, whatever else is set.
+    # the OR of the reference masks of the partners in the chosen set.
     k, length = case
     n = data.draw(st.integers(k, 3 * k), label="n")
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
-    m = comb(n, k)
-    for row in cached_closing_table(n, k, length):
-        chosen = [b for b in row if rng.random() < 0.5]
-        others = rng.getrandbits(m) & ~sum(row) if m else 0
-        x = sum(chosen) | others
-        expected = functools.reduce(operator.or_, (row[b] for b in chosen), 0)
-        memo = search._FoldMemo(row)
-        assert memo[x] == expected and memo == {x: expected}
+    check_folds(search._tables(n, k, length)[1], cached_reference_rows(n, k, length), rng, draws=2)
 
 
 def test_index_is_cached_and_read_only():
@@ -388,19 +404,31 @@ def test_index_is_cached_and_read_only():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: decide_ramsey(3, 2, 20, budget=10),
+        lambda: decide_ramsey(3, 2, 40, budget=10),
+        lambda: turan_max_edges(2, 90, "loose-path-2", budget=10),
         lambda: enumerate_loose_paths(20, 3, 3),
         lambda: decide_ramsey(12, 2, 20, budget=10),
         lambda: turan_max_edges(12, 20, "loose-path-3", budget=10),
     ],
 )
 def test_index_guard_fails_fast(call):
-    # 55.8M copies, or no copies but a 28.7M-entry vertex-swap table: the
+    # 9880^2 or 4005^2 edge pairs for the engines' bitsets, 48.8M copies for
+    # the copy list, or no copies but a 28.7M-entry vertex-swap table: the
     # closed forms refuse them before anything is built.
     start = time.perf_counter()
     with pytest.raises(InstanceTooLargeError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k, r, n", [(3, 2, 20), (2, 2, 60)])
+def test_budgeted_decide_builds_nothing_per_copy(k, r, n):
+    # 48.8M and 5.9M copies, but 1140^2 and 1770^2 edge pairs: the engines
+    # build two bitsets per edge and nothing per copy, so a budget of 10 ends fast.
+    start = time.perf_counter()
+    outcome = decide_ramsey(k, r, n, budget=10)
+    assert time.perf_counter() - start < 1.0
+    assert (outcome.verdict, outcome.stats.nodes) == (VERDICT_UNKNOWN, 11)
 
 
 def test_export_cnf_guards_clauses_before_allocating():
@@ -433,18 +461,23 @@ def test_enumerate_copy_free_allocates_no_edge_list():
 
 
 @pytest.mark.parametrize("n, k, length", [(18, 7, 3), (18, 10, 2)])
-def test_closing_table_copy_free_builds_no_bitsets(n, k, length):
-    # 31824 and 43758 edges, no copy: the rows come back empty at once, with
-    # no C(n,k)-bit edge bitset and no pass over the C(n,k)^2/2 edge pairs.
+def test_tables_copy_free_build_no_bitsets(monkeypatch, n, k, length):
+    # 31824 and 43758 edges, no copy: every edge shares one memo with no
+    # partners, with no C(n,k)-bit edge bitset and no pass over the edge
+    # pairs.  The swap rows do not depend on copies and are guarded on their
+    # own, so the memory bound leaves them out.
     start = time.perf_counter()
+    _, folded, _ = search._tables(n, k, length)
+    assert time.perf_counter() - start < 1.0
+    assert len(folded) == comb(n, k) and not any(memo.bits for memo in folded)
+    assert not any(folded.one) and not any(folded.free)
+    monkeypatch.setattr(search, "_vertex_swaps", lambda n, k: np.empty((0, comb(n, k)), dtype=np.int64))
     tracemalloc.start()
     try:
-        rows = search._closing_table(n, k, length)
+        search._tables(n, k, length)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - start < 1.0
-    assert rows == [{}] * comb(n, k)
     assert peak < 8 << 20
 
 
@@ -777,24 +810,48 @@ def test_decide_capped_golden_tree(k, r, n, budget, verdict, nodes, prunes, max_
     assert tree == (verdict, nodes, prunes, max_depth, class_cap)
 
 
-@pytest.mark.parametrize(
-    "engine, a, b, c, budget, tree",
-    [
-        ("decide_ramsey", 2, 3, 8, 0, ("holds", 237, 156, 14, 7)),
-        ("decide_ramsey", 3, 2, 8, 0, ("holds", 407, 204, 26, 0)),
-        ("decide_ramsey", 2, 4, 8, 0, ("fails", 2544, 1890, 27, 7)),
-        ("decide_ramsey", 3, 3, 9, 300000, ("holds", 10041, 6685, 54, 28)),
-        ("decide_ramsey", 2, 4, 10, 10**6, ("holds", 783, 581, 25, 9)),
-        ("turan_max_edges", 3, 7, "loose-path-3", 0, ("exact", 493, 241, 0, 0)),
-        ("turan_max_edges", 2, 8, "loose-path-3", 0, ("exact", 232, 99, 0, 0)),
-        ("turan_max_edges", 3, 8, "loose-path-3", 500000, ("exact", 1467, 734, 0, 0)),
-        ("turan_max_edges", 3, 7, "loose-path-2", 0, ("exact", 97, 46, 0, 0)),
-    ],
-)
+ENGINE_GOLDEN_ROWS = [
+    ("decide_ramsey", 2, 3, 8, 0, ("holds", 237, 156, 14, 7)),
+    ("decide_ramsey", 3, 2, 8, 0, ("holds", 407, 204, 26, 0)),
+    ("decide_ramsey", 2, 4, 8, 0, ("fails", 2544, 1890, 27, 7)),
+    ("decide_ramsey", 3, 3, 9, 300000, ("holds", 10041, 6685, 54, 28)),
+    ("decide_ramsey", 2, 4, 10, 10**6, ("holds", 783, 581, 25, 9)),
+    ("turan_max_edges", 3, 7, "loose-path-3", 0, ("exact", 493, 241, 0, 0)),
+    ("turan_max_edges", 2, 8, "loose-path-3", 0, ("exact", 232, 99, 0, 0)),
+    ("turan_max_edges", 3, 8, "loose-path-3", 500000, ("exact", 1467, 734, 0, 0)),
+    ("turan_max_edges", 3, 7, "loose-path-2", 0, ("exact", 97, 46, 0, 0)),
+]
+
+
+class RowMemo(dict):
+    """The fold memo over closing rows {1 << p: mask}: x maps to the OR of the masks whose partner is in x."""
+
+    def __init__(self, row):
+        self.row, self.bits = row, sum(row)
+
+    def __missing__(self, x):
+        self[x] = folded = functools.reduce(operator.or_, (mask for b, mask in self.row.items() if x & b), 0)
+        return folded
+
+
+def reference_tables(n, k, length):
+    """`search._tables` with memos folding the rows of `reference_lexsort_closing_table`."""
+    swaps = [s + [len(s)] for s in search._vertex_swaps(n, k).tolist()]
+    folded = [RowMemo(row) for row in reference_lexsort_closing_table(n, k, length)]
+    return swaps, folded, list(itertools.combinations(range(n), k))
+
+
+def tree_of(result):
+    stats = result.stats
+    head = result.verdict if isinstance(result, search.SearchOutcome) else result.status
+    return head, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap
+
+
+@pytest.mark.parametrize("engine, a, b, c, budget, tree", ENGINE_GOLDEN_ROWS)
 def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree):
-    # Both engines read closing rows built from edge bitsets; with the copy
-    # index refused they still visit the pinned tree, and their payloads
-    # (witness or extremal included) match a run on the index-derived rows.
+    # Both engines fold from edge bitsets; with the copy index refused they
+    # still visit the pinned tree, and their payloads (witness or extremal
+    # included) match a run on memos of the index-derived closing rows.
     def refuse(*args):
         raise AssertionError(f"copy index {args} built")
 
@@ -803,13 +860,36 @@ def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree)
 
     monkeypatch.setattr(search, "_loose_path_index", refuse)
     result = call()
-    stats = result.stats
-    head = result.verdict if isinstance(result, search.SearchOutcome) else result.status
-    assert (head, stats.nodes, stats.prunes, stats.max_depth, stats.class_cap) == tree
-    monkeypatch.setattr(search, "_closing_table", reference_lexsort_closing_table)
+    assert tree_of(result) == tree
+    monkeypatch.setattr(search, "_tables", reference_tables)
     expected = call()
     assert result.to_json_obj() == expected.to_json_obj()
-    assert (stats.max_depth, stats.class_cap) == (expected.stats.max_depth, expected.stats.class_cap)
+    assert tree_of(expected) == tree
+
+
+@pytest.mark.parametrize("engine, a, b, c, budget, tree", ENGINE_GOLDEN_ROWS)
+def test_memo_bound_changes_no_tree(monkeypatch, engine, a, b, c, budget, tree):
+    # With the bound at 3 entries, every fourth miss clears all the memos of
+    # the run: the entries are refolded, never different, so the tree and
+    # the payload stay as they are, and the run keeps at most 3 entries.
+    def call():
+        return getattr(search, engine)(a, b, c, budget=budget)
+
+    expected = call().to_json_obj()
+    runs = []
+
+    def tables(*args):
+        runs.append(search_tables(*args))
+        return runs[-1]
+
+    search_tables = search._tables
+    monkeypatch.setattr(search, "_MEMO_BOUND", 3)
+    monkeypatch.setattr(search, "_tables", tables)
+    result = call()
+    assert tree_of(result) == tree
+    assert result.to_json_obj() == expected
+    (_, folded, _), = runs
+    assert 0 < folded.entries <= 3 and sum(map(len, folded)) == folded.entries
 
 
 @pytest.mark.parametrize("k, n, r", [(2, 6, 100), (3, 4, 10), (2, 4, 7), (2, 3, 10**11)])

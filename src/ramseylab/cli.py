@@ -240,7 +240,8 @@ def _weight(w) -> Fraction:
 
 def _exact(q: Fraction) -> str:
     """str(q), also past Python's 4300-digit int-to-str limit: Decimal writes an int of any length."""
-    return "/".join(str(Decimal(x)) for x in (q.numerator, q.denominator)[: 1 + (q.denominator != 1)])
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 def cmd_machinery(args, started: float) -> int:

@@ -247,8 +247,8 @@ class _Folds(list):
     disjoint from it.  The end edges of a loose 3-path are disjoint and each
     meets the middle in one vertex, so a partner p in one[d] closes with the
     edges in one[d] & free[p] or free[d] & one[p], and a partner in free[d]
-    with those in one[d] & one[p]; at length 2, d is its own partner and
-    closes with one[d].  The memos hold a weak proxy of the run, so no cycle
+    with those in one[d] & one[p]; at length 2, d is its own partner, not
+    in one[d], and closes with one[d].  The memos hold a weak proxy of the run, so no cycle
     keeps a finished run alive, and the edges without partners share one memo.
     """
 

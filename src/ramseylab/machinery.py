@@ -192,7 +192,8 @@ def derandomized_split(
     conditional expectation is not smaller (ties to U2), so the final count
     can never drop below the initial expectation.  Items not touching v add
     the same term to both sides, so only the items touching v are summed and
-    a vertex no item touches goes to U2 on the tie.
+    a vertex no item touches goes to U2 on the tie.  Each item keeps the
+    counts of its undecided and its U1 vertices, so a term is one lookup.
     """
     if k < 2:
         raise ValueError(f"uniformity must be at least 2, got {k}")
@@ -210,43 +211,43 @@ def derandomized_split(
             raise ValueError(f"set {ft} given twice")
         items[ft] = v
 
-    p_u1 = Fraction(1, k)
-    p_u2 = Fraction(k - 1, k)
     # ((k-1)/k)^(k-1) has about k·log2(k) bits; no item needs it.
-    expectation = len(items) * p_u1 * p_u2 ** (k - 1) if items else Fraction(0)
+    expectation = len(items) * Fraction(1, k) * Fraction(k - 1, k) ** (k - 1) if items else Fraction(0)
+    # Terms times k^k as exact ints: scaled[j] = (k-1)^j·k^(k-1-j) for a set with j vertices
+    # undecided and its apex undecided, k·scaled[j] with its apex in U1; k²·log2(k) bits in all.
+    scaled = [k ** (k - 1)] if items else []
+    while 0 < len(scaled) < k:
+        scaled.append(scaled[-1] * (k - 1) // k)
 
     U1, U2 = 1, 2
     side: list[int | None] = [None] * n
-
-    touching: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for f, v in items.items():
-        for u in (v, *f):
-            touching.setdefault(u, []).append((f, v))
-
-    def conditional_expectation(subset) -> Fraction:
-        total = Fraction(0)
-        for f, v in subset:
-            sv = side[v]
-            if sv == U2:
-                continue
-            sides = [side[u] for u in f]
-            if U1 not in sides:
-                total += (p_u1 if sv is None else 1) * p_u2 ** sides.count(None)
-        return total
+    apex = list(items.values())
+    undecided = [k - 1] * len(apex)  # per item, the vertices of its set not yet placed
+    in_u1 = [0] * len(apex)  # per item, the vertices of its set placed in U1
+    holding: dict[int, list[int]] = {}  # vertex -> the items whose set holds it
+    apex_of: dict[int, list[int]] = {}  # vertex -> the items it is the apex of
+    for i, (f, v) in enumerate(items.items()):
+        apex_of.setdefault(v, []).append(i)
+        for u in f:
+            holding.setdefault(u, []).append(i)
 
     for v in range(n):
         side[v] = U2
-        if v in touching:
-            gain_u2 = conditional_expectation(touching[v])
-            side[v] = U1
-            gain_u1 = conditional_expectation(touching[v])
+        if v in holding or v in apex_of:
+            # In U2, v keeps the terms of the sets holding it, one vertex fewer
+            # undecided, and zeroes those it is the apex of; in U1, the reverse.
+            sets, apexes = holding.get(v, ()), apex_of.get(v, ())
+            gain_u2 = sum(scaled[undecided[i] - 1] * (1 if side[apex[i]] is None else k)
+                          for i in sets if side[apex[i]] != U2 and not in_u1[i])
+            gain_u1 = sum(k * scaled[undecided[i]] for i in apexes if not in_u1[i])
             side[v] = U1 if gain_u1 > gain_u2 else U2
+            for i in sets:
+                undecided[i] -= 1
+                in_u1[i] += side[v] == U1
 
     u1 = tuple(v for v in range(n) if side[v] == U1)
     u2 = tuple(v for v in range(n) if side[v] == U2)
-    proper = sum(
-        1 for f, v in items.items() if side[v] == U1 and all(side[u] == U2 for u in f)
-    )
+    proper = sum(1 for v, ones in zip(apex, in_u1) if side[v] == U1 and not ones)
     return SplitAssignment(u1, u2, proper, expectation)
 
 

@@ -14,9 +14,8 @@ import time
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, cycle, islice, repeat
 from math import comb
-
-import numpy as np
 
 from .constructions import pair_cover
 from .errors import InstanceTooLargeError, check_index_guard
@@ -35,7 +34,8 @@ STATUS_LOWER_BOUND = "lower-bound-only"
 
 EXHAUSTIVE_GUARD = 100_000_000
 _CHUNK = 1 << 20
-_SLICE = 1 << 14  # copies or clauses per slice of the bulk builders, so their temporaries stay bounded
+_SLICE = 1 << 14  # clauses per `%` call of `CnfInstance.to_dimacs`, so its temporaries stay bounded
+_ENDS = bytes.maketrans(b"\1\2", b"\0\1")  # with 0 deleted: a `_copy_walk` mark byte to its selector
 _MEMO_BOUND = 1 << 14  # fold-memo entries one engine run keeps; a miss past it clears every memo of the run
 
 
@@ -102,63 +102,24 @@ def enumerate_loose_paths(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every copy of the loose path pattern in the complete k-graph, once each.
 
-    Copies are reversal-deduplicated (first edge below last edge), listed in lex
-    order of their ordered edge tuples and read off the cached copy index _SLICE
-    rows at a time; past INDEX_GUARD copies the call raises InstanceTooLargeError.
+    Copies are reversal-deduplicated (first edge below last edge) and listed
+    in lex order of their ordered edge tuples, as `_copy_walk` visits them;
+    past INDEX_GUARD copies the call raises InstanceTooLargeError.
     """
     if n < 1 or k < 2:
         raise ValueError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
     if length not in (2, 3):
         raise ValueError(f"length must be 2 or 3, got {length}")
-    index = _loose_path_index(n, k, length)
-    if not len(index):
-        return []
-    edges = np.fromiter(itertools.combinations(range(n), k), dtype=object, count=comb(n, k))
-    copies = []
-    for start in range(0, len(index), _SLICE):
-        copies += zip(*(edges[col].tolist() for col in index[start : start + _SLICE].T))
-    return copies
-
-
-@functools.lru_cache(maxsize=4)
-def _loose_path_index(n: int, k: int, length: int) -> np.ndarray:
-    """Read-only (copies, length) edge ranks of every copy, as `enumerate_loose_paths` lists them.
-
-    Built by construction: a middle edge, an ordered pair of link vertices in
-    it, then end edges through the links from disjoint (k-1)-sets outside it
-    (one end edge for length 2), ordered by one `_packed_sort`.  The count,
-    `_copy_count`, is checked before anything is allocated and against the rows.
-    """
     count = _copy_count(n, k, length)
     check_index_guard(count, "loose-path copies")
-    m = comb(n, k)
-    dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
     if not count:
-        return np.empty((0, length), dtype=dtype)
+        return []
     edges = list(itertools.combinations(range(n), k))
-    rest = np.array([sorted(set(range(n)).difference(e)) for e in edges])
-    local = np.array(list(itertools.combinations(range(n - k), k - 1)))
-    # ends[j, a, p]: rank of vertex a of edge j plus the p-th (k-1)-set outside j
-    ends = np.empty((m, k, len(local), k), dtype=np.intp)
-    ends[..., 0] = np.array(edges)[:, :, None]
-    ends[..., 1:] = rest[:, None, local]
-    ends = _edge_ranks(n, k, ends).astype(dtype)
-    if length == 2:
-        mid = np.broadcast_to(np.arange(m, dtype=dtype)[:, None, None], ends.shape)
-        cols = (mid[mid < ends], ends[mid < ends])
-    else:
-        a, b = np.array(list(itertools.combinations(range(k), 2))).T
-        p, q = np.nonzero([[set(u).isdisjoint(w) for w in local.tolist()] for u in local.tolist()])
-        first, last = ends[:, a[:, None], p], ends[:, b[:, None], q]
-        mid = np.repeat(np.arange(m, dtype=dtype), first[0].size)
-        cols = (np.minimum(first, last).ravel(), mid, np.maximum(first, last).ravel())
-    key, bits = _packed_sort(cols, m)
-    assert len(key) == count
-    index = np.empty((count, length), dtype=dtype)
-    for col in range(length):
-        index[:, col] = key >> bits * (length - 1 - col) & (1 << bits) - 1
-    index.flags.writeable = False
-    return index
+    copies = []
+    for a, partners, masks, ends in _copy_walk(edges, n, length, edges):
+        mids = chain.from_iterable(map(repeat, map(edges.__getitem__, partners), map(int.bit_count, masks)))
+        copies += zip(repeat(edges[a]), mids, ends) if length == 3 else zip(repeat(edges[a]), ends)
+    return copies
 
 
 def _copy_count(n: int, k: int, length: int) -> int:
@@ -172,37 +133,71 @@ def _copy_count(n: int, k: int, length: int) -> int:
     return count
 
 
-def _packed_sort(cols: tuple[np.ndarray, ...], m: int) -> tuple[np.ndarray, int]:
-    """(keys, bits): rows of columns below m packed first column highest, bits each, in lexsort order."""
-    bits = (m - 1).bit_length()
-    assert bits * len(cols) <= 63
-    key = cols[0].astype(np.int32 if bits * len(cols) < 32 else np.int64)
-    for col in cols[1:]:
-        key <<= bits
-        key |= col
-    key.sort()
-    return key, bits
+def _edge_bitsets(edges: list[tuple[int, ...]], n: int, shift: int):
+    """Yield (one[e], free[e]) of each edge e as in `_Folds`, edge f at bit shift·f, from the edges through each vertex."""
+    inc = [0] * n  # inc[v]: the edges through vertex v
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v] |= 1 << shift * i
+    full = functools.reduce(operator.or_, inc)
+    for e in edges:
+        ge1 = ge2 = 0  # the edges meeting e in at least one, at least two vertices
+        for v in e:
+            ge2 |= ge1 & inc[v]
+            ge1 |= inc[v]
+        yield ge1 ^ ge2, full ^ ge1
 
 
-def _edge_ranks(n: int, k: int, vertices: np.ndarray) -> np.ndarray:
-    """Lex ranks of the k-sets along the last axis: C(n,k)-1-Σ C(n-1-v_i, k-i), v sorted."""
-    lex = np.array([[comb(n - 1 - v, k - i) for v in range(n)] for i in range(k)])
-    return comb(n, k) - 1 - lex[np.arange(k), np.sort(vertices, axis=-1)].sum(axis=-1)
+def _copy_walk(edges, n: int, length: int, items, width: int = 1):
+    """Yield (a, partners, masks, ends) per edge a of a K^(k)_n with copies, in `enumerate_loose_paths` order.
+
+    At length 3 the partners are the middles b in one[a], ascending, and masks[i] has bit
+    8·width·(t-a-1) set for each end t > a of partners[i], in one[b] & free[a]; at length 2
+    the partner is a, its ends one[a] above a.  ends yields items[width·t : width·(t+1)] per
+    end, partner by partner, ends ascending: one `compress` over the items above a in free[a] (one[a] at length 2).
+    """
+    m = len(edges)
+    unit = int.from_bytes(b"\1" * width, "little")
+    pairs = _edge_bitsets(edges, n, 8 * width)
+    if length == 3:
+        one, free = zip(*pairs)
+        pairs = zip(one, free)
+    for a, (one_a, free_a) in enumerate(pairs):
+        s = 8 * width * (a + 1)
+        if length == 2:
+            partners, masks = [a], [one_a >> s]
+        else:
+            partners = list(compress(range(m), one_a.to_bytes(width * m, "little")[::width]))
+            masks = list(map((free_a >> s).__and__, map(operator.rshift, map(one.__getitem__, partners), repeat(s))))
+        keep = ((free_a if length == 3 else one_a) >> s) * unit  # every end above a is in it
+        frame = list(compress(items[width * (a + 1) :], keep.to_bytes(width * (m - a - 1), "little")))
+        marks = map(keep.__add__, map(unit.__mul__, masks))  # 2 on an end, 1 elsewhere in keep, 0 outside
+        data = b"".join(map(int.to_bytes, marks, repeat(width * (m - a - 1)), repeat("little"))).translate(_ENDS, b"\0")
+        yield a, partners, masks, compress(cycle(frame), data)
 
 
 @functools.lru_cache(maxsize=4)
-def _vertex_swaps(n: int, k: int) -> np.ndarray:
-    """Read-only (n-1, C(n,k)) table: row i maps each edge rank to its image's under (i i+1).
+def _vertex_swaps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Shared rows: row i maps each edge rank to its image's under the vertex swap (i i+1), then the sentinel C(n,k).
 
-    Its (n-1)·C(n,k)·k-entry temporary is guarded like the copy index, which
-    an instance without copies passes.
+    The swap maps the edges holding i alone, in lex order, onto those holding
+    i+1 alone in the same order, and fixes the rest.  The (n-1)·C(n,k)·k
+    entries are guarded like the copies, which an instance without copies passes.
     """
     check_index_guard((n - 1) * comb(n, k) * k, "vertex-swap entries")
-    edges = np.array(list(itertools.combinations(range(n), k)))
-    i = np.arange(n - 1)[:, None, None]
-    swaps = _edge_ranks(n, k, edges + (edges == i) - (edges == i + 1))
-    swaps.flags.writeable = False
-    return swaps
+    ranks = list(range(comb(n, k) + 1))  # shared by every row; the last is the sentinel
+    star = [[] for _ in range(n)]  # star[v]: the ranks of the edges through v, ascending
+    for rank, e in zip(ranks, itertools.combinations(range(n), k)):
+        for v in e:
+            star[v].append(rank)
+    rows = []
+    for low, high in itertools.pairwise(star):
+        row = ranks[:]
+        mine, theirs = set(low), set(high)
+        for x, y in zip(itertools.filterfalse(theirs.__contains__, low), itertools.filterfalse(mine.__contains__, high)):
+            row[x], row[y] = y, x
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class _FoldMemo(dict):
@@ -262,29 +257,18 @@ class _Folds(list):
 def _tables(n: int, k: int, length: int):
     """(swaps, folded, edges) of K^(k)_n, the tables both engines read.
 
-    swaps are the rows of `_vertex_swaps` as lists, each ending in the
-    sentinel C(n,k), folded the `_Folds` and edges the k-sets in lex order.
-    Nothing is built per copy: with copies, C(n,k)^2 edge pairs are checked
-    against INDEX_GUARD before anything is allocated; without, no bitset is.
+    swaps are the shared rows of `_vertex_swaps`, folded the `_Folds` and
+    edges the k-sets in lex order.  Nothing is built per copy: with copies,
+    C(n,k)^2 edge pairs are checked against INDEX_GUARD before anything is
+    allocated; without, no bitset is.
     """
     if copies := _copy_count(n, k, length):
         check_index_guard(comb(n, k) ** 2, "edge pairs")
-    swaps = [s + [len(s)] for s in _vertex_swaps(n, k).tolist()]
+    swaps = _vertex_swaps(n, k)
     edges = list(itertools.combinations(range(n), k))
     one = free = partners = [0] * len(edges)
     if copies:
-        inc = [0] * n  # inc[v]: the edges through vertex v
-        for i, e in enumerate(edges):
-            for v in e:
-                inc[v] |= 1 << i
-        full, one, free = (1 << len(edges)) - 1, [], []
-        for e in edges:
-            ge1 = ge2 = 0  # the edges meeting e in at least one, at least two vertices
-            for v in e:
-                ge2 |= ge1 & inc[v]
-                ge1 |= inc[v]
-            one.append(ge1 ^ ge2)
-            free.append(full ^ ge1)
+        one, free = zip(*_edge_bitsets(edges, n, 1))
         partners = [1 << d if length == 2 else (one[d] | free[d]) & (1 << d) - 1 for d in range(len(edges))]
     return swaps, _Folds(one, free, partners), edges
 
@@ -643,24 +627,34 @@ class CnfInstance:
 def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     """Build the CNF whose satisfiability means n is below the Ramsey number.
 
-    r·(C(n,k) + copies), the at-least-one literals plus the copy clauses, is checked
-    against INDEX_GUARD before anything is allocated.  The negative literals -(e*r + c)
-    of each copy (i, j, t), sorted to (min(i, j), max(i, min(j, t)), max(j, t)) as i < t,
-    and color c are read from neg _SLICE copies at a time: the clauses share their ints.
+    r·(C(n,k) + copies), the at-least-one literals plus the copy clauses, is
+    checked against INDEX_GUARD before anything is allocated.  Each copy
+    (a, b, t) of `_copy_walk`, sorted to (b, a, t) when b < a and otherwise
+    to (a, min(b, t), max(b, t)), gives one clause per color c of the
+    literals -(e*r + c); the clauses share one int per literal.
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
-    check_index_guard(r * (comb(n, k) + _copy_count(n, k, 3)), "r·(C(n,k) + copies) entries")
+    count = _copy_count(n, k, 3)
+    check_index_guard(r * (comb(n, k) + count), "r·(C(n,k) + copies) entries")
     edges = tuple(itertools.combinations(range(n), k))
-    index = _loose_path_index(n, k, 3)
-    neg = np.array(range(0, -r * len(edges) - 1, -1), dtype=object)  # neg[v] is the literal -v
+    lits = list(range(-1, -r * len(edges) - 1, -1))
+    neg = [tuple(lits[e * r : e * r + r]) for e in range(len(edges))]  # neg[e][c - 1] is -(e*r + c)
     clauses = [tuple(range(i * r + 1, i * r + r + 1)) for i in range(len(edges))]
-    for start in range(0, len(index), _SLICE):
-        i, j, t = index[start : start + _SLICE].T.astype(np.int64)
-        triples = np.stack((np.minimum(i, j), np.maximum(i, np.minimum(j, t)), np.maximum(j, t)), axis=1)
-        var = triples[:, None, :] * r + np.arange(1, r + 1)[:, None]
-        clauses += zip(*(neg[col].tolist() for col in var.reshape(-1, 3).T))
-    return CnfInstance(k, n, r, edges, tuple(clauses), len(index))
+    flat = chain.from_iterable
+    for a, partners, masks, ends in _copy_walk(edges, n, 3, lits, r) if count else ():
+        # Partner b's ends t > b close (min(a, b), max(a, b), t), those below it (a, t, b):
+        # columns 1 and 2 take the literals of `ends` in turn, so zip keeps their order.
+        total = list(map(int.bit_count, masks))
+        high = [(mask >> 8 * r * max(b - a - 1, 0)).bit_count() for b, mask in zip(partners, masks)]
+        low = list(map(operator.sub, total, high))
+        mid = [neg[max(a, b)] for b in partners]
+        clauses += zip(
+            flat(map(operator.mul, map(neg.__getitem__, map(min, repeat(a), partners)), total)),
+            flat(flat(zip(map(islice, repeat(ends), map(r.__mul__, low)), map(operator.mul, mid, high)))),
+            flat(flat(zip(map(operator.mul, mid, low), map(islice, repeat(ends), map(r.__mul__, high))))),
+        )
+    return CnfInstance(k, n, r, edges, tuple(clauses), count)
 
 
 def cnf_satisfiable(instance: CnfInstance) -> bool:

@@ -457,6 +457,67 @@ def test_split_matches_full_recompute(rng):
         assert (split.u1, split.u2, split.proper_count) == full_recompute_split(items, n, k)
 
 
+def reference_split(assignments, n, k):
+    """`derandomized_split` as it was before the per-item counts: each side list rebuilt per vertex."""
+    items = {tuple(sorted(f)): v for f, v in assignments.items()}
+    p_u1, p_u2 = Fraction(1, k), Fraction(k - 1, k)
+    expectation = len(items) * p_u1 * p_u2 ** (k - 1) if items else Fraction(0)
+    side = [None] * n
+    touching = {}
+    for f, v in items.items():
+        for u in (v, *f):
+            touching.setdefault(u, []).append((f, v))
+
+    def conditional_expectation(subset):
+        total = Fraction(0)
+        for f, v in subset:
+            sv = side[v]
+            if sv == 2:
+                continue
+            sides = [side[u] for u in f]
+            if 1 not in sides:
+                total += (p_u1 if sv is None else 1) * p_u2 ** sides.count(None)
+        return total
+
+    for v in range(n):
+        side[v] = 2
+        if v in touching:
+            gain_u2 = conditional_expectation(touching[v])
+            side[v] = 1
+            gain_u1 = conditional_expectation(touching[v])
+            side[v] = 1 if gain_u1 > gain_u2 else 2
+    u1 = tuple(v for v in range(n) if side[v] == 1)
+    u2 = tuple(v for v in range(n) if side[v] == 2)
+    proper = sum(1 for f, v in items.items() if side[v] == 1 and all(side[u] == 2 for u in f))
+    return u1, u2, proper, expectation
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_split_matches_reference_loop(data):
+    # Sets of every size up to k-1 = 7 overlapping on few vertices, so the
+    # items touching a vertex mix apexes and members in every state.
+    k = data.draw(st.integers(2, 8), label="k")
+    n = data.draw(st.integers(k, 12), label="n")
+    items = {}
+    for _ in range(data.draw(st.integers(0, 25), label="items")):
+        f = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k - 1, max_size=k - 1))))
+        apexes = [v for v in range(n) if v not in f]
+        items[f] = data.draw(st.sampled_from(apexes))
+    split = derandomized_split(items, n, k)
+    assert (split.u1, split.u2, split.proper_count, split.expectation) == reference_split(items, n, k)
+
+
+def test_split_large_set_is_fast():
+    # One 2999-set at k = 3000: the old loop rebuilt the set's side list at
+    # each of its vertices, O(k^2), about 1.2 s.
+    start = time.perf_counter()
+    split = derandomized_split({tuple(range(2999)): 3500}, 4000, 3000)
+    assert time.perf_counter() - start < 0.2
+    assert split.proper_count == 1 and split.u1 == (3500,)
+    assert split.expectation == Fraction(1, 3000) * Fraction(2999, 3000) ** 2999
+
+
 def test_stability_full_star():
     report = stability_deficiency(full_star(10, 3, 0))
     assert report.vertex == 0 and report.deficiency == 0 and report.holds

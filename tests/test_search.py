@@ -181,8 +181,14 @@ def pair_rows(n, k, length):
     return [[(b.bit_length() - 1, mask) for b, mask in row.items()] for row in reference_lexsort_closing_table(n, k, length)]
 
 
+def edge_ranks(n, k, vertices):
+    """Lex ranks of the k-sets along the last axis: C(n,k)-1-Σ C(n-1-v_i, k-i), v sorted."""
+    lex = np.array([[comb(n - 1 - v, k - i) for v in range(n)] for i in range(k)])
+    return comb(n, k) - 1 - lex[np.arange(k), np.sort(vertices, axis=-1)].sum(axis=-1)
+
+
 def reference_lexsort_index(n, k, length):
-    """The copy index as built before the packed sort: the column stack gathered by np.lexsort."""
+    """The numpy copy index: the column stack of every copy's edge ranks, gathered by np.lexsort."""
     m = comb(n, k)
     dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
     count = comb(n, k) * k * comb(max(n - k, 0), k - 1) // 2
@@ -196,7 +202,7 @@ def reference_lexsort_index(n, k, length):
     ends = np.empty((m, k, len(local), k), dtype=np.intp)
     ends[..., 0] = np.array(edges)[:, :, None]
     ends[..., 1:] = rest[:, None, local]
-    ends = search._edge_ranks(n, k, ends).astype(dtype)
+    ends = edge_ranks(n, k, ends).astype(dtype)
     if length == 2:
         mid = np.broadcast_to(np.arange(m, dtype=dtype)[:, None, None], ends.shape)
         cols = (mid[mid < ends], ends[mid < ends])
@@ -226,45 +232,53 @@ def reference_lexsort_closing_table(n, k, length):
     return close
 
 
-@pytest.mark.parametrize("n, k, length", [(12, 3, 3), (12, 3, 2), (10, 4, 3), (9, 4, 3), (11, 4, 3), (13, 5, 3)])
+def walk_rows(n, k, length, width=1):
+    """The copies `search._copy_walk` visits, as rows of edge ranks; checks each ends stream on the way.
+
+    Item width·t + c is (t, c), so the ends of a partner must come as whole
+    runs of `width` items, one run per set mask bit, ends ascending.
+    """
+    edges = list(itertools.combinations(range(n), k))
+    items = [(t, c) for t in range(len(edges)) for c in range(width)]
+    rows = []
+    for a, partners, masks, ends in search._copy_walk(edges, n, length, items, width):
+        ends = list(ends)
+        assert ends == [(t, c) for t, _ in ends[::width] for c in range(width)], (a, width)
+        ends = iter(t for t, _ in ends[::width])
+        for b, mask in zip(partners, masks):
+            ts = list(itertools.islice(ends, mask.bit_count()))
+            assert mask == sum(1 << 8 * width * (t - a - 1) for t in ts) and ts == sorted(ts), (a, b)
+            rows += [(a, t) if length == 2 else (a, b, t) for t in ts]
+        assert next(ends, None) is None
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, k, length",
+    [(12, 3, 3), (12, 3, 2), (10, 4, 3), (9, 4, 3), (11, 4, 3), (13, 5, 3), (8, 2, 3), (9, 2, 2), (3, 2, 3), (4, 3, 2)],
+)
 def test_tables_match_lexsort_builds(n, k, length, rng):
-    # (9,4,3) holds no copy (a loose 3-path needs 3k-2 = 10 vertices), and
-    # its empty index is returned as built, writeable; the others are read-only.
-    expected = reference_lexsort_index(n, k, length)
-    index = search._loose_path_index(n, k, length)
-    assert index.dtype == expected.dtype and index.shape == expected.shape
-    assert index.flags.writeable == (not len(expected))
-    assert np.array_equal(index, expected)
+    # (9,4,3), (3,2,3) and (4,3,2) hold no copy (a loose 3-path needs 3k-2
+    # vertices, a loose 2-path 2k-1); the walk then finds no end.  Item width 3
+    # is checked below 10^5 copies, and swept in the test below.
+    expected = [tuple(row) for row in reference_lexsort_index(n, k, length).tolist()]
+    assert walk_rows(n, k, length) == expected
+    if len(expected) < 10**5:
+        assert walk_rows(n, k, length, width=3) == expected
     rows = reference_lexsort_closing_table(n, k, length)
     check_folds(search._tables(n, k, length)[1], [{b.bit_length() - 1: mask for b, mask in row.items()} for row in rows], rng)
 
 
-@st.composite
-def packed_columns(draw):
-    m = draw(st.integers(1, 1 << 21))
-    width = draw(st.integers(2, 3))
-    rows = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * width), max_size=40))
-    return m, width, rows
-
-
-@settings(max_examples=80, deadline=None, database=None)
-@given(packed_columns())
-@example((1, 3, [(0, 0, 0), (0, 0, 0)]))
-@example((1 << 21, 2, []))
-@example((1 << 21, 3, [(1, 0, 5), ((1 << 21) - 1, 0, 0), (1, 0, 4), (0, (1 << 21) - 1, (1 << 21) - 1)]))
-@example((1 << 10, 3, [(1023, 1, 2), (1023, 0, 1023), (2, 3, 4)]))
-@example((1 << 10 | 1, 3, [(1024, 1, 2), (1024, 0, 1024), (2, 3, 4)]))
-@example((1 << 16, 2, [(65535, 0), (1, 65535), (32768, 1), (32768, 0)]))
-def test_packed_sort_matches_lexsort(case):
-    # Keys of up to 31 bits are int32 (3 columns of 10 bits); 32 bits or
-    # more (2 columns of 16, 3 of 11) take the int64 branch.
-    m, width, rows = case
-    cols = tuple(np.array(col, dtype=np.int32) for col in (zip(*rows) if rows else [()] * width))
-    key, bits = search._packed_sort(cols, m)
-    assert bits == (m - 1).bit_length()
-    assert key.dtype == (np.int32 if bits * width < 32 else np.int64)
-    unpacked = np.stack([key >> bits * (width - 1 - j) & (1 << bits) - 1 for j in range(width)], axis=1)
-    assert np.array_equal(unpacked, np.stack(cols, axis=1)[np.lexsort(cols[::-1])])
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.integers(k, 3 * k + 1), st.just(k))),
+       st.sampled_from([2, 3]), st.integers(1, 3))
+def test_walk_matches_lexsort_index(case, length, width):
+    # Every copy once, in the numpy index's order, whatever the item width.
+    n, k = case
+    if search._copy_count(n, k, length) > 30000:
+        return
+    expected = [tuple(row) for row in reference_lexsort_index(n, k, length).tolist()]
+    assert walk_rows(n, k, length, width) == expected
 
 
 def test_export_cnf_matches_reference_walk():
@@ -322,8 +336,8 @@ def test_dimacs_pinned():
 
 @pytest.mark.parametrize("size", [1, 7, 997])
 def test_enumerate_slices_match_default(monkeypatch, size):
-    # 997 divides none of the copy counts, so every walk ends on a short slice.
-    # Size 1 takes one numpy slice per copy, so it skips the 498,960 of (12,3,3).
+    # The copy list is built first end by first end, not in _SLICE slices, so
+    # no slice size may change it; size 1 still skips the 498,960 of (12,3,3).
     cases = [(12, 3, 3), (10, 4, 3), (12, 3, 2)]
     cases = [case for case in cases if size > 1 or search._copy_count(*case) < 30000]
     expected = {case: enumerate_loose_paths(*case) for case in cases}
@@ -348,9 +362,8 @@ def test_export_cnf_slices_match_default(monkeypatch, size):
 
 
 def test_export_cnf_memory_follows_output():
-    # With its index built, (3,2,10) keeps its 151,895 clauses in under 16 MiB
-    # and peaks under 20 MiB: every clause shares one int object per literal.
-    search._loose_path_index(10, 3, 3)
+    # (3,2,10) keeps its 151,895 clauses in under 16 MiB and peaks under
+    # 20 MiB, its walk included: every clause shares one int object per literal.
     tracemalloc.start()
     try:
         inst = export_cnf(3, 2, 10)
@@ -369,8 +382,10 @@ def test_vertex_swaps(k):
         rank = {e: i for i, e in enumerate(edges)}
         swaps = search._vertex_swaps(n, k)
         assert search._vertex_swaps(n, k) is swaps
-        assert swaps.shape == (n - 1, len(edges)) and not swaps.flags.writeable
-        for i, row in enumerate(swaps.tolist()):
+        assert isinstance(swaps, tuple) and len(swaps) == n - 1
+        for i, row in enumerate(swaps):
+            assert isinstance(row, tuple) and row[-1] == len(edges), (n, i)
+            row = list(row[:-1])
             image = {i: i + 1, i + 1: i}
             assert row == [rank[tuple(sorted(image.get(v, v) for v in e))] for e in edges], (n, i)
             assert [row[x] for x in row] == list(range(len(edges))), (n, i)
@@ -393,12 +408,6 @@ def test_fold_matches_partner_scan(case, data):
     n = data.draw(st.integers(k, 3 * k), label="n")
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
     check_folds(search._tables(n, k, length)[1], cached_reference_rows(n, k, length), rng, draws=2)
-
-
-def test_index_is_cached_and_read_only():
-    index = search._loose_path_index(7, 3, 3)
-    assert search._loose_path_index(7, 3, 3) is index
-    assert index.shape == (630, 3) and not index.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -471,7 +480,7 @@ def test_tables_copy_free_build_no_bitsets(monkeypatch, n, k, length):
     assert time.perf_counter() - start < 1.0
     assert len(folded) == comb(n, k) and not any(memo.bits for memo in folded)
     assert not any(folded.one) and not any(folded.free)
-    monkeypatch.setattr(search, "_vertex_swaps", lambda n, k: np.empty((0, comb(n, k)), dtype=np.int64))
+    monkeypatch.setattr(search, "_vertex_swaps", lambda n, k: ())
     tracemalloc.start()
     try:
         search._tables(n, k, length)
@@ -633,6 +642,19 @@ def _subset_checker(rows, edges):
     return find
 
 
+def subset_walk(rows):
+    """Stand-in for `search._copy_walk` at length 3 that walks only the given (a, b, t) rows, in their order."""
+
+    def walk(edges, n, length, items, width=1):
+        for a in range(len(edges)):
+            mine = [(b, t) for i, b, t in rows if i == a]
+            partners = sorted({b for b, _ in mine})
+            masks = [sum(1 << 8 * width * (t - a - 1) for j, t in mine if j == b) for b in partners]
+            yield a, partners, masks, iter([items[width * t + c] for _, t in mine for c in range(width)])
+
+    return walk
+
+
 @pytest.mark.parametrize("chunk", [None, 16])
 def test_exhaustive_on_copy_subsets(monkeypatch, rng, chunk):
     # On complete hosts the first path-free coloring barely depends on the
@@ -642,15 +664,15 @@ def test_exhaustive_on_copy_subsets(monkeypatch, rng, chunk):
         monkeypatch.setattr(search, "_CHUNK", chunk)
     for k, r, n in [(2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 4, 4)]:
         edges = list(itertools.combinations(range(n), k))
-        full = search._loose_path_index(n, k, 3)
+        full = walk_rows(n, k, 3)
         for _ in range(25):
             keep = sorted(rng.sample(range(len(full)), rng.randint(1, len(full))))
-            rows = full[keep]
-            monkeypatch.setattr(search, "_loose_path_index", lambda *args, rows=rows: rows)
-            monkeypatch.setattr(search, "find_mono_loose_path", _subset_checker(rows.tolist(), edges))
+            rows = [full[i] for i in keep]
+            monkeypatch.setattr(search, "_copy_walk", subset_walk(rows))
+            monkeypatch.setattr(search, "find_mono_loose_path", _subset_checker(rows, edges))
             expected_pos, expected = r ** len(edges), None
             for pos, colors in enumerate(itertools.product(range(1, r + 1), repeat=len(edges)), 1):
-                if all(len({colors[i] for i in row}) > 1 for row in rows.tolist()):
+                if all(len({colors[i] for i in row}) > 1 for row in rows):
                     expected_pos, expected = pos, dict(zip(edges, colors))
                     break
             outcome = exhaustive_decide(k, r, n)
@@ -836,7 +858,7 @@ class RowMemo(dict):
 
 def reference_tables(n, k, length):
     """`search._tables` with memos folding the rows of `reference_lexsort_closing_table`."""
-    swaps = [s + [len(s)] for s in search._vertex_swaps(n, k).tolist()]
+    swaps = search._vertex_swaps(n, k)
     folded = [RowMemo(row) for row in reference_lexsort_closing_table(n, k, length)]
     return swaps, folded, list(itertools.combinations(range(n), k))
 
@@ -849,16 +871,16 @@ def tree_of(result):
 
 @pytest.mark.parametrize("engine, a, b, c, budget, tree", ENGINE_GOLDEN_ROWS)
 def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree):
-    # Both engines fold from edge bitsets; with the copy index refused they
+    # Both engines fold from edge bitsets; with the copy walk refused they
     # still visit the pinned tree, and their payloads (witness or extremal
     # included) match a run on memos of the index-derived closing rows.
     def refuse(*args):
-        raise AssertionError(f"copy index {args} built")
+        raise AssertionError("copies walked")
 
     def call():
         return getattr(search, engine)(a, b, c, budget=budget)
 
-    monkeypatch.setattr(search, "_loose_path_index", refuse)
+    monkeypatch.setattr(search, "_copy_walk", refuse)
     result = call()
     assert tree_of(result) == tree
     monkeypatch.setattr(search, "_tables", reference_tables)
@@ -1426,7 +1448,6 @@ def test_cnf_rejects_stray_literals():
 def test_oracle_peak_memory(k, r, n):
     # Each oracle keeps r bitsets per low edge and a few masks of r^L bits:
     # about 6 MiB at these 2^20- and 2^21-coloring instances.
-    search._loose_path_index(n, k, 3)
     instance = export_cnf(k, r, n)
     for call in (lambda: exhaustive_decide(k, r, n), lambda: cnf_satisfiable(instance)):
         tracemalloc.start()

@@ -4,9 +4,11 @@ Core objects: immutable hypergraphs and total edge colorings; pattern
 detection for loose paths and stars; the star+clique lower-bound coloring;
 exact Ramsey/Turan decision engines with CNF export; proof machinery
 (peeling, pruning, tripartition, derandomized splitting) and bit-exact
-inequality certificates.
+inequality certificates.  That proof layer (`machinery`, `exact`,
+`inequalities`) has no caller among the engines, so it loads on first use.
 """
 
+import importlib
 import types
 
 from .errors import InstanceTooLargeError, ParseError
@@ -33,25 +35,6 @@ from .constructions import (
     ramsey_bounds,
     star_clique_coloring,
 )
-from .machinery import (
-    BipartiteGraph,
-    SplitAssignment,
-    StabilityReport,
-    Tripartition,
-    derandomized_split,
-    greedy_tripartition,
-    peel_min_degree,
-    prune_bipartite,
-    stability_deficiency,
-)
-from .exact import (
-    Interval,
-    integer_nth_root,
-    link_support_lower_bound,
-    nth_root_interval,
-    star_deficiency_bound,
-)
-from .inequalities import IneqRecord, IneqReport, verify_constant_inequalities
 from .search import (
     PATTERN_LOOSE_PATH_2,
     PATTERN_LOOSE_PATH_3,
@@ -74,6 +57,29 @@ from .search import (
 
 __version__ = "0.1.0"
 
-# Every name imported from the submodules, not the submodules themselves.
-__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, types.ModuleType))
+# The names of the proof layer, per module; each loads on first access (PEP 562).
+_LAZY = {
+    "machinery": ("BipartiteGraph", "SplitAssignment", "StabilityReport", "Tripartition", "derandomized_split",
+                  "greedy_tripartition", "peel_min_degree", "prune_bipartite", "stability_deficiency"),
+    "exact": ("Interval", "integer_nth_root", "link_support_lower_bound", "nth_root_interval", "star_deficiency_bound"),
+    "inequalities": ("IneqRecord", "IneqReport", "verify_constant_inequalities"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+# Every name imported from the submodules or listed above, not the submodules themselves.
+__all__ = sorted([name for name, value in globals().items() if name[0] != "_" and not isinstance(value, types.ModuleType)]
+                 + [name for names in _LAZY.values() for name in names])
 del types
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    # Stored in the package globals, so a later read never reaches this hook.
+    globals()[name] = value = module if name == _HOME[name] else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -11,14 +11,13 @@ import json
 import operator
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from .constructions import full_star, pair_cover, ramsey_bounds, star_clique_coloring
 from .errors import ParseError
 from .hypergraphs import parse_hypergraph, serialize_hypergraph
-from .inequalities import verify_constant_inequalities
+from .inequalities import exact_text, verify_constant_inequalities
 from .machinery import (
     BipartiteGraph,
     derandomized_split,
@@ -238,12 +237,6 @@ def _weight(w) -> Fraction:
     return Fraction(w)
 
 
-def _exact(q: Fraction) -> str:
-    """str(q), also past Python's 4300-digit int-to-str limit: Decimal writes an int of any length."""
-    text = str(Decimal(q.numerator))
-    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
-
-
 def cmd_machinery(args, started: float) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     if args.op == "peel":
@@ -265,8 +258,8 @@ def cmd_machinery(args, started: float) -> int:
     elif args.op == "tripartition":
         (weights,) = _json_fields(text, weights=lambda x: {v: _weight(w) for v, w in x.items()})
         tri = greedy_tripartition(weights)
-        sums = [_exact(s) for s in tri.sums]
-        payload = {"parts": [list(p) for p in tri.parts], "sums": sums, "gap": _exact(tri.gap)}
+        sums = [exact_text(s) for s in tri.sums]
+        payload = {"parts": [list(p) for p in tri.parts], "sums": sums, "gap": exact_text(tri.gap)}
         summary = f"tripartition: sums {', '.join(sums)}"
     else:
         n, k, assignments = _json_fields(
@@ -280,7 +273,7 @@ def cmd_machinery(args, started: float) -> int:
             "u1": list(split.u1),
             "u2": list(split.u2),
             "proper_count": split.proper_count,
-            "expectation": _exact(split.expectation),
+            "expectation": exact_text(split.expectation),
         }
         summary = f"split: proper_count={split.proper_count} >= expectation={payload['expectation']}"
     _emit(args, f"machinery {args.op}", {"input": args.input}, payload, started, summary)

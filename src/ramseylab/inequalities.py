@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from typing import Iterable
@@ -19,6 +20,12 @@ from typing import Iterable
 NINE_TENTHS = Fraction(9, 10)
 TWENTYFOUR_25THS = Fraction(24, 25)
 ONE_TENTH = Fraction(1, 10)
+
+
+def exact_text(q: Fraction) -> str:
+    """str(q), also past Python's 4300-digit int-to-str limit: Decimal writes an int of any length."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -41,12 +48,13 @@ class IneqRecord:
         return self.lhs - self.rhs
 
     def to_json_obj(self) -> dict:
+        certificate = exact_text(self.margin)
         return {
             "name": self.name,
             "params": dict(self.params),
             "holds": "yes" if self.holds else "no",
-            "certificate_lo": str(self.margin),
-            "certificate_hi": str(self.margin),
+            "certificate_lo": certificate,
+            "certificate_hi": certificate,
             "asymptotic_flag": self.asymptotic,
         }
 

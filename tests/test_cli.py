@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from ramseylab import (
     parse_hypergraph,
     serialize_coloring,
     serialize_hypergraph,
+    verify_constant_inequalities,
 )
 
 
@@ -235,6 +237,23 @@ def test_constants_command(capsys):
     records = json.loads(out)["payload"]["records"]
     by_name = {rec["name"]: rec for rec in records}
     assert by_name["k_below_geometric"]["holds"] == "yes"
+
+
+def test_constants_writes_certificates_past_the_digit_limit(capsys):
+    # At k = 1500 the margins' numerators and denominators pass Python's
+    # 4300-digit int-to-str limit; the certificates are still written in full.
+    code, out, err = run(capsys, "constants", "--k", "1500", "--json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["payload"]["records"]
+    report = verify_constant_inequalities(1500)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(rec.margin) for rec in report.records]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, expected)) > 4300
+    assert [rec["certificate_lo"] for rec in records] == [rec["certificate_hi"] for rec in records] == expected
 
 
 def test_bounds_command(capsys):

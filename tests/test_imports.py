@@ -4,7 +4,9 @@ No linter ships with the test environment, so this stands in for the
 unused-import check: deleting the last use of an import fails here.
 `__init__.py` is exempt, since its imports are the package's re-exports,
 and so is `from __future__ import ...`; instead its `__all__` must name
-exactly what it imports, so `from ramseylab import *` keeps working.
+exactly what it imports plus the names of its lazy table, so
+`from ramseylab import *` keeps working.  The proof layer (`machinery`,
+`exact`, `inequalities`) loads on first use, not with the package.
 The runtime has no dependency: no module, import or CLI run loads numpy,
 which only the tests' reference builds use.
 """
@@ -50,8 +52,61 @@ def test_detects_an_unused_import():
 def test_all_names_the_init_imports():
     tree = ast.parse(Path(ramseylab.__file__).read_text(encoding="utf-8"))
     imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    imported += [name for names in ramseylab._LAZY.values() for name in names]
     assert len(set(ramseylab.__all__)) == len(ramseylab.__all__)
     assert set(ramseylab.__all__) == set(imported)
+
+
+def run_python(script):
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_the_proof_layer_unloaded():
+    check = (
+        "import ramseylab, sys\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('ramseylab'))\n"
+        "assert loaded == ['ramseylab', 'ramseylab.constructions', 'ramseylab.errors', 'ramseylab.hypergraphs',"
+        " 'ramseylab.patterns', 'ramseylab.search'], loaded\n"
+    )
+    result = run_python(check)
+    assert result.returncode == 0, result.stderr
+
+
+def test_star_import_binds_every_name():
+    result = run_python("from ramseylab import *\nimport ramseylab\nassert all(n in globals() for n in ramseylab.__all__)\n")
+    assert result.returncode == 0, result.stderr
+    assert len(ramseylab.__all__) == 53
+
+
+@pytest.mark.parametrize("module", sorted(ramseylab._LAZY))
+def test_lazy_names_are_their_modules_objects(module):
+    from importlib import import_module
+
+    home = import_module(f"ramseylab.{module}")
+    assert getattr(ramseylab, module) is home
+    for name in ramseylab._LAZY[module]:
+        assert getattr(ramseylab, name) is getattr(home, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(ramseylab.__all__) <= set(dir(ramseylab))
+    assert {"machinery", "exact", "inequalities"} <= set(dir(ramseylab))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ramseylab.no_such_name
+    assert not hasattr(ramseylab, "no_such_name")
+
+
+def test_submodules_by_attribute_and_by_from_import():
+    result = run_python(
+        "import ramseylab\nassert ramseylab.exact.integer_nth_root(27, 3) == (3, True)\n"
+        "from ramseylab import inequalities\nassert inequalities.IneqRecord is ramseylab.IneqRecord\n"
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(

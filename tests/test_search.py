@@ -1306,6 +1306,14 @@ def test_turan_graph_extremal_matches_reference(n):
     assert serialize_hypergraph(result.extremal) == serialize_hypergraph(expected.extremal)
 
 
+@pytest.mark.parametrize("n", range(4, 17))
+def test_turan_graph_values_match_the_closed_form(n):
+    # ex(n, P4) = 3*floor(n/3) + C(n mod 3, 2): disjoint triangles, then an
+    # edge on the last two vertices (Faudree and Schelp, JCTB 1975).
+    result = turan_max_edges(2, n, "loose-path-3")
+    assert (result.status, result.max_edges) == ("exact", 3 * (n // 3) + comb(n % 3, 2))
+
+
 def test_decide_validates_parameters():
     with pytest.raises(ValueError):
         decide_ramsey(1, 2, 4)

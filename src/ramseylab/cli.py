@@ -53,7 +53,7 @@ EXIT_INTERNAL = 70
 
 
 def _emit(args, command: str, parameters: dict, payload: dict, started: float, summary: str, stats=None, **extra) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         report = {
             "command": command,
             "parameters": parameters,

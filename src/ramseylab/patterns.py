@@ -54,7 +54,7 @@ def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
     if h.k < 2:
         raise ValueError("loose paths need uniformity at least 2")
     edges = h.edges
-    if not edges:
+    if not edges or length == 3 and is_star(h) is not None:
         return None
     inc = h.incidence()
     if length == 3:
@@ -63,7 +63,7 @@ def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
             if any(comp[v] is not comp[e[0]] for v in e):
                 merged = set().union(*(comp[v] for v in e))
                 comp.update(dict.fromkeys(merged, merged))
-        if is_star(h) is not None or max(map(len, comp.values())) < 3 * h.k - 2:
+        if max(map(len, comp.values())) < 3 * h.k - 2:
             return None
 
     for i, e1 in enumerate(edges):

@@ -11,7 +11,6 @@ import functools
 import itertools
 import operator
 import time
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice, repeat
@@ -36,7 +35,7 @@ EXHAUSTIVE_GUARD = 100_000_000
 _CHUNK = 1 << 20
 _SLICE = 1 << 14  # clauses per `%` call of `CnfInstance.to_dimacs`, so its temporaries stay bounded
 _ENDS = bytes.maketrans(b"\1\2", b"\0\1")  # with 0 deleted: a `_copy_walk` mark byte to its selector
-_MEMO_BOUND = 1 << 14  # fold-memo entries one engine run keeps; a miss past it clears every memo of the run
+_MEMO_BOUND = 1 << 14  # fold-memo entries one engine run keeps; a miss past it clears the memo
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _copy_count(n: int, k: int, length: int) -> int:
 
 
 def _edge_bitsets(edges: list[tuple[int, ...]], n: int, shift: int):
-    """Yield (one[e], free[e]) of each edge e as in `_Folds`, edge f at bit shift·f, from the edges through each vertex."""
+    """Yield (one[e], free[e]) of each edge e as in `_FoldMemo`, edge f at bit shift·f, from the edges through each vertex."""
     inc = [0] * n  # inc[v]: the edges through vertex v
     for i, e in enumerate(edges):
         for v in e:
@@ -148,31 +147,30 @@ def _edge_bitsets(edges: list[tuple[int, ...]], n: int, shift: int):
         yield ge1 ^ ge2, full ^ ge1
 
 
-def _copy_walk(edges, n: int, length: int, items, width: int = 1):
+def _copy_walk(edges, n: int, length: int, items):
     """Yield (a, partners, masks, ends) per edge a of a K^(k)_n with copies, in `enumerate_loose_paths` order.
 
     At length 3 the partners are the middles b in one[a], ascending, and masks[i] has bit
-    8·width·(t-a-1) set for each end t > a of partners[i], in one[b] & free[a]; at length 2
-    the partner is a, its ends one[a] above a.  ends yields items[width·t : width·(t+1)] per
-    end, partner by partner, ends ascending: one `compress` over the items above a in free[a] (one[a] at length 2).
+    8·(t-a-1) set for each end t > a of partners[i], in one[b] & free[a]; at length 2
+    the partner is a, its ends one[a] above a.  ends yields items[t] per end, partner by
+    partner, ends ascending: one `compress` over the items above a in free[a] (one[a] at length 2).
     """
     m = len(edges)
-    unit = int.from_bytes(b"\1" * width, "little")
-    pairs = _edge_bitsets(edges, n, 8 * width)
+    pairs = _edge_bitsets(edges, n, 8)
     if length == 3:
         one, free = zip(*pairs)
         pairs = zip(one, free)
     for a, (one_a, free_a) in enumerate(pairs):
-        s = 8 * width * (a + 1)
+        s = 8 * (a + 1)
         if length == 2:
             partners, masks = [a], [one_a >> s]
         else:
-            partners = list(compress(range(m), one_a.to_bytes(width * m, "little")[::width]))
+            partners = list(compress(range(m), one_a.to_bytes(m, "little")))
             masks = list(map((free_a >> s).__and__, map(operator.rshift, map(one.__getitem__, partners), repeat(s))))
-        keep = ((free_a if length == 3 else one_a) >> s) * unit  # every end above a is in it
-        frame = list(compress(items[width * (a + 1) :], keep.to_bytes(width * (m - a - 1), "little")))
-        marks = map(keep.__add__, map(unit.__mul__, masks))  # 2 on an end, 1 elsewhere in keep, 0 outside
-        data = b"".join(map(int.to_bytes, marks, repeat(width * (m - a - 1)), repeat("little"))).translate(_ENDS, b"\0")
+        keep = (free_a if length == 3 else one_a) >> s  # every end above a is in it
+        frame = list(compress(items[a + 1 :], keep.to_bytes(m - a - 1, "little")))
+        marks = map(keep.__add__, masks)  # 2 on an end, 1 elsewhere in keep, 0 outside
+        data = b"".join(map(int.to_bytes, marks, repeat(m - a - 1), repeat("little"))).translate(_ENDS, b"\0")
         yield a, partners, masks, compress(cycle(frame), data)
 
 
@@ -201,22 +199,29 @@ def _vertex_swaps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _FoldMemo(dict):
-    """Memo of edge d's fold: x, a set of partners of d, maps to the edges above d closing a copy with d and them.
+    """One engine run's fold memo: key x | 2 << d, x a set of partners of edge d, maps to the edges above d closing a copy with d and them.
 
-    Both engines read it at x = (chosen edges) & bits.  A miss folds x from
-    the bitsets of its `_Folds` run, first clearing all the run's memos once
-    they keep _MEMO_BOUND entries; entries are pure, so this changes no tree.
+    one[e] holds the edges meeting e in exactly one vertex, free[e] those
+    disjoint from it.  The end edges of a loose 3-path are disjoint and each
+    meets the middle in one vertex, so a partner p in one[d] closes with the
+    edges in one[d] & free[p] or free[d] & one[p], and a partner in free[d]
+    with those in one[d] & one[p]; at length 2, d is its own partner, not
+    in one[d], and closes with one[d].  Every partner lies at or below d, so
+    the key's top bit names d.  A miss folds x from the bitsets, first
+    clearing the memo once it holds _MEMO_BOUND entries; entries are pure,
+    so this changes no tree.
     """
 
-    __slots__ = ("d", "bits", "run")
+    __slots__ = ("one", "free")
 
-    def __init__(self, d: int, bits: int, run):
-        self.d, self.bits, self.run = d, bits, run
+    def __init__(self, one: list[int], free: list[int]):
+        self.one, self.free = one, free
 
-    def __missing__(self, x: int) -> int:
-        run, d, one, free = self.run, self.d, self.run.one, self.run.free
+    def __missing__(self, key: int) -> int:
+        d = key.bit_length() - 2
+        one, free = self.one, self.free
         a = b = 0
-        y = x & self.bits
+        y = key ^ 2 << d
         while y:
             low = y & -y
             y ^= low
@@ -226,41 +231,20 @@ class _FoldMemo(dict):
                 b |= one[p]
             else:
                 a |= one[p]
-        if run.entries >= _MEMO_BOUND:
-            run.entries = 0
-            for memo in run:
-                memo.clear()
-        run.entries += 1
-        self[x] = folded = (one[d] & a | free[d] & b) >> d + 1 << d + 1
+        if len(self) >= _MEMO_BOUND:
+            self.clear()
+        self[key] = folded = (one[d] & a | free[d] & b) >> d + 1 << d + 1
         return folded
 
 
-class _Folds(list):
-    """One engine run's `_FoldMemo` per edge, the edge bitsets they fold and their entry count.
-
-    one[e] holds the edges meeting e in exactly one vertex, free[e] those
-    disjoint from it.  The end edges of a loose 3-path are disjoint and each
-    meets the middle in one vertex, so a partner p in one[d] closes with the
-    edges in one[d] & free[p] or free[d] & one[p], and a partner in free[d]
-    with those in one[d] & one[p]; at length 2, d is its own partner, not
-    in one[d], and closes with one[d].  The memos hold a weak proxy of the run, so no cycle
-    keeps a finished run alive, and the edges without partners share one memo.
-    """
-
-    def __init__(self, one: list[int], free: list[int], partners: list[int]):
-        self.one, self.free, self.entries = one, free, 0
-        run = weakref.proxy(self)
-        empty = _FoldMemo(0, 0, run)  # an empty fold is 0 whatever the edge
-        self.extend(_FoldMemo(d, bits, run) if bits else empty for d, bits in enumerate(partners))
-
-
 def _tables(n: int, k: int, length: int):
-    """(swaps, folded, edges) of K^(k)_n, the tables both engines read.
+    """(swaps, partners, memo, edges) of K^(k)_n, the tables both engines read.
 
-    swaps are the shared rows of `_vertex_swaps`, folded the `_Folds` and
-    edges the k-sets in lex order.  Nothing is built per copy: with copies,
-    C(n,k)^2 edge pairs are checked against INDEX_GUARD before anything is
-    allocated; without, no bitset is.
+    swaps are the shared rows of `_vertex_swaps`, partners[d] the partners of
+    edge d as bits, memo the run's `_FoldMemo` and edges the k-sets in lex
+    order.  Nothing is built per copy: with copies, C(n,k)^2 edge pairs are
+    checked against INDEX_GUARD before anything is allocated; without, no
+    bitset is.
     """
     if copies := _copy_count(n, k, length):
         check_index_guard(comb(n, k) ** 2, "edge pairs")
@@ -270,7 +254,7 @@ def _tables(n: int, k: int, length: int):
     if copies:
         one, free = zip(*_edge_bitsets(edges, n, 1))
         partners = [1 << d if length == 2 else (one[d] | free[d]) & (1 << d) - 1 for d in range(len(edges))]
-    return swaps, _Folds(one, free, partners), edges
+    return swaps, partners, _FoldMemo(one, free), edges
 
 
 def _lex_leader(d, word, used, waiting, trail):
@@ -303,16 +287,16 @@ def _lex_leader(d, word, used, waiting, trail):
     return True
 
 
-def _run_canonical_dfs(r, swaps, folded, budget, seed=None):
+def _run_canonical_dfs(r, swaps, partners, memo, budget, seed=None):
     """Backtracking over edges in lex order for the lex-least good coloring.
 
     colors[d] is the color assigned or last tried at depth d, and cls[c]
     the bitmask of the edges before depth d colored c.  threat[c] holds the
     edges that would close a monochromatic copy in color c, and saved[d] is
     threat[colors[d]] before edge d took its color; coloring d with c ORs in
-    the closing masks of its partners in cls[c], read from the fold memo
-    folded[d] at x = cls[c] & partners[d], partners[d] being its bits.  Edge
-    d may take color c only if colors 1..c-1 appear before it.  With a seed,
+    the closing masks of its partners in cls[c], read from the fold memo at
+    x | 2 << d, x = cls[c] & partners[d].  Edge d may take color c only if
+    colors 1..c-1 appear before it.  With a seed,
     each attempt steps `_turan_steps` on these tables one node until it
     returns ex.  A descent is pruned by three tests, in this order: forward
     checking, once all r colors are in use and a later edge is in every
@@ -324,8 +308,7 @@ def _run_canonical_dfs(r, swaps, folded, budget, seed=None):
     `decide_ramsey` passes min(r, C(n,k)) colors; more only add empty classes.
     Returns (result, colors, nodes, prunes, max_depth, ex or 0).
     """
-    m = len(folded)
-    partners = [f.bits for f in folded]
+    m = len(partners)
     colors = [0] * m
     used = [0] * (m + 1)
     threat = [0] * (r + 1)
@@ -333,7 +316,7 @@ def _run_canonical_dfs(r, swaps, folded, budget, seed=None):
     cls = [0] * (r + 1)
     bits = [1 << d for d in range(m)]
     classes = range(1, r + 1)
-    steps = None if seed is None else _turan_steps(swaps, folded, seed)
+    steps = None if seed is None else _turan_steps(swaps, partners, memo, seed)
     waiting = [[] for _ in range(m + 1)]
     for s in swaps:
         waiting[s[0]].append((s, 0, (0,) * (r + 1)))
@@ -372,7 +355,7 @@ def _run_canonical_dfs(r, swaps, folded, budget, seed=None):
         saved[d] = t
         x = cls[c] & partners[d]
         if x:
-            t |= folded[d][x]
+            t |= memo[x | 2 << d]
         threat[c] = t
         u = used[d + 1] = c if c > used[d] else used[d]
         cls[c] |= bits[d]
@@ -417,11 +400,11 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    swaps, folded, edges = _tables(n, k, 3)
+    swaps, partners, memo, edges = _tables(n, k, 3)
     built = time.perf_counter()
     seed = _turan_seed(k, n, PATTERN_LOOSE_PATH_3, edges)
     dfs_r = min(r, len(edges))
-    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(dfs_r, swaps, folded, budget, seed)
+    verdict, colors, nodes, prunes, depth, cap = _run_canonical_dfs(dfs_r, swaps, partners, memo, budget, seed)
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
@@ -496,7 +479,7 @@ def _turan_seed(k: int, n: int, pattern: str, edges: list[tuple[int, ...]]) -> l
     return [index[(v, v + 1)] for v in range(0, n - 1, 2)]
 
 
-def _turan_steps(swaps, folded, seed):
+def _turan_steps(swaps, partners, memo, seed):
     """The branch and bound of `turan_max_edges` as a generator on its own stack.
 
     It yields the node count on entering a node, stops there when sent a true
@@ -505,8 +488,7 @@ def _turan_steps(swaps, folded, seed):
     `_lex_leader` on word with the identity renaming prunes a node whose image
     under a vertex swap includes an edge first where the word excludes one.
     """
-    m = len(folded)
-    partners = [f.bits for f in folded]
+    m = len(partners)
     best_count, best_sel = len(seed), seed
     waiting = [[] for _ in range(m + 1)]
     for s in swaps:
@@ -529,7 +511,7 @@ def _turan_steps(swaps, folded, seed):
             if not t >> i & 1:  # inclusion first
                 chosen |= 1 << i
                 word[i] = 1
-                t |= folded[i][chosen & partners[i]]
+                t |= memo[chosen & partners[i] | 2 << i]
             threat[i + 1] = t
             i += 1
             continue
@@ -569,9 +551,9 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start = time.perf_counter()
-    swaps, folded, edges = _tables(n, k, length)
+    swaps, partners, memo, edges = _tables(n, k, length)
     built = time.perf_counter()
-    steps = _turan_steps(swaps, folded, _turan_seed(k, n, pattern, edges))
+    steps = _turan_steps(swaps, partners, memo, _turan_seed(k, n, pattern, edges))
     try:
         nodes = next(steps)
         while True:
@@ -638,21 +620,20 @@ def export_cnf(k: int, r: int, n: int) -> CnfInstance:
     count = _copy_count(n, k, 3)
     check_index_guard(r * (comb(n, k) + count), "r·(C(n,k) + copies) entries")
     edges = tuple(itertools.combinations(range(n), k))
-    lits = list(range(-1, -r * len(edges) - 1, -1))
-    neg = [tuple(lits[e * r : e * r + r]) for e in range(len(edges))]  # neg[e][c - 1] is -(e*r + c)
+    neg = [tuple(range(-e * r - 1, -e * r - r - 1, -1)) for e in range(len(edges))]  # neg[e][c - 1] is -(e*r + c)
     clauses = [tuple(range(i * r + 1, i * r + r + 1)) for i in range(len(edges))]
     flat = chain.from_iterable
-    for a, partners, masks, ends in _copy_walk(edges, n, 3, lits, r) if count else ():
+    for a, partners, masks, ends in _copy_walk(edges, n, 3, neg) if count else ():
         # Partner b's ends t > b close (min(a, b), max(a, b), t), those below it (a, t, b):
         # columns 1 and 2 take the literals of `ends` in turn, so zip keeps their order.
         total = list(map(int.bit_count, masks))
-        high = [(mask >> 8 * r * max(b - a - 1, 0)).bit_count() for b, mask in zip(partners, masks)]
+        high = [(mask >> 8 * max(b - a - 1, 0)).bit_count() for b, mask in zip(partners, masks)]
         low = list(map(operator.sub, total, high))
         mid = [neg[max(a, b)] for b in partners]
         clauses += zip(
             flat(map(operator.mul, map(neg.__getitem__, map(min, repeat(a), partners)), total)),
-            flat(flat(zip(map(islice, repeat(ends), map(r.__mul__, low)), map(operator.mul, mid, high)))),
-            flat(flat(zip(map(operator.mul, mid, low), map(islice, repeat(ends), map(r.__mul__, high))))),
+            flat(flat(zip(map(flat, map(islice, repeat(ends), low)), map(operator.mul, mid, high)))),
+            flat(flat(zip(map(operator.mul, mid, low), map(flat, map(islice, repeat(ends), high))))),
         )
     return CnfInstance(k, n, r, edges, tuple(clauses), count)
 

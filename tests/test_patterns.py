@@ -39,6 +39,17 @@ def test_find_loose_path_star_host():
     assert find_loose_path(full_star(10, 3, 0), 3) is None
 
 
+def test_star_host_exits_before_incidence(monkeypatch):
+    # A star holds no loose 3-path, so length 3 returns before the incidence
+    # and the component merge are built, even when a component is large enough.
+    def refuse(self):
+        raise AssertionError("incidence built")
+
+    monkeypatch.setattr(Hypergraph, "incidence", refuse)
+    assert find_loose_path(full_star(10, 3, 0), 3) is None
+    assert find_loose_path(full_star(9, 2, 4), 3) is None
+
+
 def test_find_loose_path_length_two():
     host = Hypergraph(3, 6, [(0, 1, 2), (0, 3, 4)])
     w = find_loose_path(host, 2)

@@ -141,21 +141,21 @@ def reference_closing_rows(edges, length):
     return close
 
 
-def check_folds(folded, rows, rng, draws=4):
-    """Each memo folds drawn partner sets, whatever else is set, to the OR of the reference row's masks.
+def check_folds(partners, memo, rows, rng, draws=4):
+    """The memo folds drawn partner sets of each edge, whatever else is set, to the OR of the reference row's masks.
 
     rows[d] maps each partner p of edge d with a nonzero mask to that mask;
-    the memo's partners may add partners whose mask is empty.  The memo keeps
-    each result under the set it was asked for.
+    partners[d] may add partners whose mask is empty.  The memo keeps each
+    result under the key it was asked for, the set x | 2 << d.
     """
     m = len(rows)
-    for d, (memo, row) in enumerate(zip(folded, rows)):
-        assert sum(1 << p for p in row) & ~memo.bits == 0, d
+    for d, (bits, row) in enumerate(zip(partners, rows)):
+        assert sum(1 << p for p in row) & ~bits == 0, d
         for _ in range(draws):
             x = rng.getrandbits(m) if m else 0
             expected = functools.reduce(operator.or_, (mask for p, mask in row.items() if x >> p & 1), 0)
-            assert memo[x & memo.bits] == expected, (d, x)
-            assert dict.get(memo, x & memo.bits) == expected, (d, x)
+            assert memo[x & bits | 2 << d] == expected, (d, x)
+            assert dict.get(memo, x & bits | 2 << d) == expected, (d, x)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -169,11 +169,11 @@ def test_index_matches_reference_walk(k, rng):
             cols = reference_index_columns(edges, length)
             expected = list(zip(*([edges[i] for i in col] for col in cols)))
             assert enumerate_loose_paths(n, k, length) == expected, (n, length)
-            _, folded, _ = search._tables(n, k, length)
+            _, got, memo, _ = search._tables(n, k, length)
             partners = [sum(1 << p for p in range(d) if meets[p, d] <= 1) if length == 3 else 1 << d
                         for d in range(len(edges))]
-            assert [memo.bits for memo in folded] == (partners if expected else [0] * len(edges)), (n, length)
-            check_folds(folded, reference_closing_rows(edges, length), rng)
+            assert got == (partners if expected else [0] * len(edges)), (n, length)
+            check_folds(got, memo, reference_closing_rows(edges, length), rng)
 
 
 def pair_rows(n, k, length):
@@ -232,22 +232,19 @@ def reference_lexsort_closing_table(n, k, length):
     return close
 
 
-def walk_rows(n, k, length, width=1):
+def walk_rows(n, k, length):
     """The copies `search._copy_walk` visits, as rows of edge ranks; checks each ends stream on the way.
 
-    Item width·t + c is (t, c), so the ends of a partner must come as whole
-    runs of `width` items, one run per set mask bit, ends ascending.
+    Item t is (t,), so the ends of a partner must come one item per set
+    mask bit, ends ascending.
     """
     edges = list(itertools.combinations(range(n), k))
-    items = [(t, c) for t in range(len(edges)) for c in range(width)]
     rows = []
-    for a, partners, masks, ends in search._copy_walk(edges, n, length, items, width):
-        ends = list(ends)
-        assert ends == [(t, c) for t, _ in ends[::width] for c in range(width)], (a, width)
-        ends = iter(t for t, _ in ends[::width])
+    for a, partners, masks, ends in search._copy_walk(edges, n, length, [(t,) for t in range(len(edges))]):
+        ends = iter(t for t, in ends)
         for b, mask in zip(partners, masks):
             ts = list(itertools.islice(ends, mask.bit_count()))
-            assert mask == sum(1 << 8 * width * (t - a - 1) for t in ts) and ts == sorted(ts), (a, b)
+            assert mask == sum(1 << 8 * (t - a - 1) for t in ts) and ts == sorted(ts), (a, b)
             rows += [(a, t) if length == 2 else (a, b, t) for t in ts]
         assert next(ends, None) is None
     return rows
@@ -259,26 +256,23 @@ def walk_rows(n, k, length, width=1):
 )
 def test_tables_match_lexsort_builds(n, k, length, rng):
     # (9,4,3), (3,2,3) and (4,3,2) hold no copy (a loose 3-path needs 3k-2
-    # vertices, a loose 2-path 2k-1); the walk then finds no end.  Item width 3
-    # is checked below 10^5 copies, and swept in the test below.
+    # vertices, a loose 2-path 2k-1); the walk then finds no end.
     expected = [tuple(row) for row in reference_lexsort_index(n, k, length).tolist()]
     assert walk_rows(n, k, length) == expected
-    if len(expected) < 10**5:
-        assert walk_rows(n, k, length, width=3) == expected
     rows = reference_lexsort_closing_table(n, k, length)
-    check_folds(search._tables(n, k, length)[1], [{b.bit_length() - 1: mask for b, mask in row.items()} for row in rows], rng)
+    check_folds(*search._tables(n, k, length)[1:3], [{b.bit_length() - 1: mask for b, mask in row.items()} for row in rows], rng)
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.integers(k, 3 * k + 1), st.just(k))),
-       st.sampled_from([2, 3]), st.integers(1, 3))
-def test_walk_matches_lexsort_index(case, length, width):
-    # Every copy once, in the numpy index's order, whatever the item width.
+       st.sampled_from([2, 3]))
+def test_walk_matches_lexsort_index(case, length):
+    # Every copy once, in the numpy index's order.
     n, k = case
     if search._copy_count(n, k, length) > 30000:
         return
     expected = [tuple(row) for row in reference_lexsort_index(n, k, length).tolist()]
-    assert walk_rows(n, k, length, width) == expected
+    assert walk_rows(n, k, length) == expected
 
 
 def test_export_cnf_matches_reference_walk():
@@ -335,29 +329,16 @@ def test_dimacs_pinned():
 
 
 @pytest.mark.parametrize("size", [1, 7, 997])
-def test_enumerate_slices_match_default(monkeypatch, size):
-    # The copy list is built first end by first end, not in _SLICE slices, so
-    # no slice size may change it; size 1 still skips the 498,960 of (12,3,3).
-    cases = [(12, 3, 3), (10, 4, 3), (12, 3, 2)]
-    cases = [case for case in cases if size > 1 or search._copy_count(*case) < 30000]
-    expected = {case: enumerate_loose_paths(*case) for case in cases}
-    monkeypatch.setattr(search, "_SLICE", size)
-    for case in cases:
-        assert enumerate_loose_paths(*case) == expected[case], case
-
-
-@pytest.mark.parametrize("size", [1, 7, 997])
 def test_export_cnf_slices_match_default(monkeypatch, size):
-    # (3,2,6) holds no copy; (2,3,6) writes its positive and negative clauses as one run.
-    # Size 1 skips the 75,600 copies of (3,2,10), as above.
+    # Only `to_dimacs` reads _SLICE, so no slice size may change its text.  (3,2,6)
+    # holds no copy; (2,3,6) writes its positive and negative clauses as one run.
+    # Size 1 skips the 75,600 copies of (3,2,10).
     cases = [(3, 2, 10), (2, 3, 6), (3, 1, 7), (3, 2, 6)]
     cases = [(k, r, n) for k, r, n in cases if size > 1 or search._copy_count(n, k, 3) < 30000]
-    expected = {case: export_cnf(*case) for case in cases}
-    texts = {case: inst.to_dimacs() for case, inst in expected.items()}
+    instances = {case: export_cnf(*case) for case in cases}
+    texts = {case: inst.to_dimacs() for case, inst in instances.items()}
     monkeypatch.setattr(search, "_SLICE", size)
-    for case in cases:
-        inst = export_cnf(*case)
-        assert inst == expected[case], case
+    for case, inst in instances.items():
         assert inst.to_dimacs() == texts[case], case
 
 
@@ -402,12 +383,12 @@ def cached_reference_rows(n, k, length):
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from([(k, length) for k in (2, 3, 4) for length in (2, 3)]), st.data())
 def test_fold_matches_partner_scan(case, data):
-    # Both engines read `folded[d][chosen & folded[d].bits]`; it must equal
+    # Both engines read `memo[chosen & partners[d] | 2 << d]`; it must equal
     # the OR of the reference masks of the partners in the chosen set.
     k, length = case
     n = data.draw(st.integers(k, 3 * k), label="n")
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
-    check_folds(search._tables(n, k, length)[1], cached_reference_rows(n, k, length), rng, draws=2)
+    check_folds(*search._tables(n, k, length)[1:3], cached_reference_rows(n, k, length), rng, draws=2)
 
 
 @pytest.mark.parametrize(
@@ -471,15 +452,15 @@ def test_enumerate_copy_free_allocates_no_edge_list():
 
 @pytest.mark.parametrize("n, k, length", [(18, 7, 3), (18, 10, 2)])
 def test_tables_copy_free_build_no_bitsets(monkeypatch, n, k, length):
-    # 31824 and 43758 edges, no copy: every edge shares one memo with no
-    # partners, with no C(n,k)-bit edge bitset and no pass over the edge
-    # pairs.  The swap rows do not depend on copies and are guarded on their
-    # own, so the memory bound leaves them out.
+    # 31824 and 43758 edges, no copy: no edge has partners, and the memo
+    # holds no C(n,k)-bit edge bitset, with no pass over the edge pairs.  The
+    # swap rows do not depend on copies and are guarded on their own, so the
+    # memory bound leaves them out.
     start = time.perf_counter()
-    _, folded, _ = search._tables(n, k, length)
+    _, partners, memo, _ = search._tables(n, k, length)
     assert time.perf_counter() - start < 1.0
-    assert len(folded) == comb(n, k) and not any(memo.bits for memo in folded)
-    assert not any(folded.one) and not any(folded.free)
+    assert len(partners) == comb(n, k) and not any(partners)
+    assert not any(memo.one) and not any(memo.free)
     monkeypatch.setattr(search, "_vertex_swaps", lambda n, k: ())
     tracemalloc.start()
     try:
@@ -645,12 +626,12 @@ def _subset_checker(rows, edges):
 def subset_walk(rows):
     """Stand-in for `search._copy_walk` at length 3 that walks only the given (a, b, t) rows, in their order."""
 
-    def walk(edges, n, length, items, width=1):
+    def walk(edges, n, length, items):
         for a in range(len(edges)):
             mine = [(b, t) for i, b, t in rows if i == a]
             partners = sorted({b for b, _ in mine})
-            masks = [sum(1 << 8 * width * (t - a - 1) for j, t in mine if j == b) for b in partners]
-            yield a, partners, masks, iter([items[width * t + c] for _, t in mine for c in range(width)])
+            masks = [sum(1 << 8 * (t - a - 1) for j, t in mine if j == b) for b in partners]
+            yield a, partners, masks, iter([items[t] for _, t in mine])
 
     return walk
 
@@ -769,8 +750,8 @@ def uncapped_decide(k, r, n, budget=0):
     No Turán search is stepped, so the tree is the one forward checking and
     the lex-leader test alone leave.
     """
-    swaps, folded, _ = search._tables(n, k, 3)
-    verdict, colors, nodes, prunes, depth, cap = search._run_canonical_dfs(r, swaps, folded, budget)
+    swaps, partners, memo, _ = search._tables(n, k, 3)
+    verdict, colors, nodes, prunes, depth, cap = search._run_canonical_dfs(r, swaps, partners, memo, budget)
     assert cap == 0
     return verdict, nodes, prunes, depth, colors
 
@@ -846,21 +827,22 @@ ENGINE_GOLDEN_ROWS = [
 
 
 class RowMemo(dict):
-    """The fold memo over closing rows {1 << p: mask}: x maps to the OR of the masks whose partner is in x."""
+    """The fold memo over closing rows {1 << p: mask}: x | 2 << d maps to the OR of row d's masks whose partner is in x."""
 
-    def __init__(self, row):
-        self.row, self.bits = row, sum(row)
+    def __init__(self, rows):
+        self.rows = rows
 
-    def __missing__(self, x):
-        self[x] = folded = functools.reduce(operator.or_, (mask for b, mask in self.row.items() if x & b), 0)
+    def __missing__(self, key):
+        row = self.rows[key.bit_length() - 2]
+        self[key] = folded = functools.reduce(operator.or_, (mask for b, mask in row.items() if key & b), 0)
         return folded
 
 
 def reference_tables(n, k, length):
-    """`search._tables` with memos folding the rows of `reference_lexsort_closing_table`."""
+    """`search._tables` with one memo folding the rows of `reference_lexsort_closing_table`."""
     swaps = search._vertex_swaps(n, k)
-    folded = [RowMemo(row) for row in reference_lexsort_closing_table(n, k, length)]
-    return swaps, folded, list(itertools.combinations(range(n), k))
+    rows = reference_lexsort_closing_table(n, k, length)
+    return swaps, list(map(sum, rows)), RowMemo(rows), list(itertools.combinations(range(n), k))
 
 
 def tree_of(result):
@@ -891,9 +873,9 @@ def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree)
 
 @pytest.mark.parametrize("engine, a, b, c, budget, tree", ENGINE_GOLDEN_ROWS)
 def test_memo_bound_changes_no_tree(monkeypatch, engine, a, b, c, budget, tree):
-    # With the bound at 3 entries, every fourth miss clears all the memos of
-    # the run: the entries are refolded, never different, so the tree and
-    # the payload stay as they are, and the run keeps at most 3 entries.
+    # With the bound at 3 entries, every fourth miss clears the run's memo:
+    # the entries are refolded, never different, so the tree and the
+    # payload stay as they are, and the memo keeps at most 3 entries.
     def call():
         return getattr(search, engine)(a, b, c, budget=budget)
 
@@ -910,8 +892,8 @@ def test_memo_bound_changes_no_tree(monkeypatch, engine, a, b, c, budget, tree):
     result = call()
     assert tree_of(result) == tree
     assert result.to_json_obj() == expected
-    (_, folded, _), = runs
-    assert 0 < folded.entries <= 3 and sum(map(len, folded)) == folded.entries
+    (_, _, memo, _), = runs
+    assert 0 < len(memo) <= 3
 
 
 @pytest.mark.parametrize("k, n, r", [(2, 6, 100), (3, 4, 10), (2, 4, 7), (2, 3, 10**11)])

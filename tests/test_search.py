@@ -855,7 +855,7 @@ def tree_of(result):
 def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree):
     # Both engines fold from edge bitsets; with the copy walk refused they
     # still visit the pinned tree, and their payloads (witness or extremal
-    # included) match a run on memos of the index-derived closing rows.
+    # included) match a run on a memo of the index-derived closing rows.
     def refuse(*args):
         raise AssertionError("copies walked")
 

@@ -26,6 +26,7 @@ from .machinery import (
     prune_bipartite,
 )
 from .patterns import (
+    LoosePathWitness,
     find_loose_path,
     find_mono_loose_path,
     is_full_star,
@@ -72,7 +73,7 @@ def _emit(args, command: str, parameters: dict, payload: dict, started: float, s
 def _witness_payload(found) -> dict:
     if found is None:
         return {"found": False}
-    color, witness = found if isinstance(found, tuple) else (None, found)
+    color, witness = (None, found) if isinstance(found, LoosePathWitness) else found
     payload = {
         "found": True,
         "witness_edges": [list(e) for e in witness.edges],

@@ -9,9 +9,8 @@ r+3k-3 vertices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import check_index_guard
 from .hypergraphs import Hypergraph
@@ -71,8 +70,7 @@ def pair_cover(n: int, k: int, pair: Sequence[int] = (0, 1)) -> Hypergraph:
     return Hypergraph(k, n, edges)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Closed-form bounds on the r-color Ramsey number of the loose 3-path."""
 
     k: int
@@ -80,7 +78,7 @@ class BoundsReport:
     lower: int
     upper_kr: int
     upper_250r: int
-    caveats: tuple[str, ...] = field(default_factory=tuple)
+    caveats: tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
         return {

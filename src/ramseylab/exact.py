@@ -9,24 +9,27 @@ degenerate (exact) intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 RationalLike = Fraction | int | str
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed rational interval [lo, hi] enclosing a real value."""
-
+class _Ends(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+
+class Interval(_Ends):
+    """A closed rational interval [lo, hi] enclosing a real value."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        return _Ends.__new__(cls, lo, hi)
 
     @property
     def width(self) -> Fraction:

@@ -11,25 +11,40 @@ verdict.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 NINE_TENTHS = Fraction(9, 10)
 TWENTYFOUR_25THS = Fraction(24, 25)
 ONE_TENTH = Fraction(1, 10)
 
 
+def _decimal(n: int, powers: list[Decimal] | None = None) -> Decimal:
+    """Decimal(n).  Before CPython 3.12 that takes time quadratic in the digits, so past 2^4096 n is
+    split by the powers 2^(4096·2^i) and its parts summed in an exact context, as 3.12's `_pylong` does."""
+    if n.bit_length() <= 4096:
+        return Decimal(n)
+    if powers:  # 0 <= n < 2^(2w) for w = 4096·2^(len(powers) - 1), and powers[-1] = 2^w
+        hi = n >> (w := 4096 << len(powers) - 1)
+        return _decimal(n - (hi << w), powers[:-1]) + _decimal(hi, powers[:-1]) * powers[-1]
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        powers = [Decimal(1 << 4096)]
+        while 4096 << len(powers) < n.bit_length():
+            powers.append(powers[-1] * powers[-1])
+        return _decimal(n, powers) if n > 0 else _decimal(-n, powers).copy_negate()
+
+
 def exact_text(q: Fraction) -> str:
     """str(q), also past Python's 4300-digit int-to-str limit: Decimal writes an int of any length."""
-    text = str(Decimal(q.numerator))
-    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+    text = str(_decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{_decimal(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class IneqRecord:
+class IneqRecord(NamedTuple):
     """One verified inequality with its exact certificate."""
 
     name: str
@@ -59,9 +74,8 @@ class IneqRecord:
         }
 
 
-@dataclass(frozen=True)
-class IneqReport:
-    records: tuple[IneqRecord, ...] = field(default_factory=tuple)
+class IneqReport(NamedTuple):
+    records: tuple[IneqRecord, ...] = ()
 
     def record(self, name: str, **params) -> IneqRecord:
         for rec in self.records:

@@ -8,7 +8,6 @@ strict inequalities that floating point would occasionally flip.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -53,8 +52,7 @@ class BipartiteGraph:
         return f"BipartiteGraph(|V1|={len(self.left)}, |V2|={len(self.right)}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class Tripartition:
+class Tripartition(NamedTuple):
     """Three disjoint vertex groups with exact rational weight sums, ascending."""
 
     parts: tuple[tuple, tuple, tuple]
@@ -65,8 +63,7 @@ class Tripartition:
         return self.sums[2] - self.sums[0]
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
+class SplitAssignment(NamedTuple):
     """Deterministic bipartition with its proper count and the exact expectation."""
 
     u1: tuple[int, ...]

@@ -7,16 +7,14 @@ path of length two is a pair of edges sharing exactly one vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
 from .hypergraphs import Hypergraph, canonical_edge, read_records
 
 
-@dataclass(frozen=True)
-class LoosePathWitness:
+class LoosePathWitness(NamedTuple):
     """An ordered edge sequence realizing a loose path, with its link vertices."""
 
     edges: tuple[tuple[int, ...], ...]

@@ -12,9 +12,9 @@ import itertools
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice, repeat
 from math import comb
+from typing import NamedTuple
 
 from .constructions import pair_cover
 from .errors import InstanceTooLargeError, check_index_guard
@@ -38,8 +38,7 @@ _ENDS = bytes.maketrans(b"\1\2", b"\0\1")  # with 0 deleted: a `_copy_walk` mark
 _MEMO_BOUND = 1 << 14  # fold-memo entries one engine run keeps; a miss past it clears the memo
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     prunes: int
     seconds: float
@@ -52,8 +51,7 @@ class SearchStats:
     class_cap: int = 0  # the ex_k(n) bound the Ramsey DFS armed; 0 if its Turán search never finished
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a Ramsey decision: holds / fails(witness) / unknown(budget)."""
 
     verdict: str
@@ -70,8 +68,7 @@ class SearchOutcome:
         }
 
 
-@dataclass(frozen=True)
-class TuranResult:
+class TuranResult(NamedTuple):
     """Largest pattern-free edge count found, with the extremal witness."""
 
     status: str
@@ -570,8 +567,7 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     return TuranResult(status, best_count, extremal, stats)
 
 
-@dataclass(frozen=True)
-class CnfInstance:
+class CnfInstance(NamedTuple):
     """Propositional encoding of "some r-coloring avoids monochromatic paths".
 
     Variables x_(e,c) say edge e has color c.  Clauses: at least one color

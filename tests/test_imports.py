@@ -8,7 +8,9 @@ exactly what it imports plus the names of its lazy table, so
 `from ramseylab import *` keeps working.  The proof layer (`machinery`,
 `exact`, `inequalities`) loads on first use, not with the package.
 The runtime has no dependency: no module, import or CLI run loads numpy,
-which only the tests' reference builds use.
+which only the tests' reference builds use.  The result types are
+NamedTuples, so neither the package nor the CLI loads `dataclasses` or
+`inspect`.
 """
 
 import ast
@@ -71,6 +73,13 @@ def test_import_leaves_the_proof_layer_unloaded():
         " 'ramseylab.patterns', 'ramseylab.search'], loaded\n"
     )
     result = run_python(check)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module", ["ramseylab", "ramseylab.cli"])
+def test_import_loads_no_dataclasses_or_inspect(module):
+    result = run_python(f"import {module}, sys\nloaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+                        "assert not loaded, loaded\n")
     assert result.returncode == 0, result.stderr
 
 

@@ -1,9 +1,12 @@
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ramseylab import verify_constant_inequalities
+from ramseylab.inequalities import exact_text
 
 
 def test_geometric_threshold():
@@ -85,3 +88,23 @@ def test_invalid_parameters():
         verify_constant_inequalities(10, A=1)
     with pytest.raises(ValueError):
         verify_constant_inequalities(10, r_list=[0])
+
+
+@pytest.mark.parametrize("digits", [1_000, 30_000, 300_000])
+def test_exact_text_matches_str_at_any_length(digits):
+    # Past 2^4096 exact_text splits the int by powers of two; the text must
+    # stay str()'s, for both signs, whole numbers and fractions.  n is prime
+    # to d, so str() of the fraction joins theirs.
+    n = 7 ** round(digits / math.log10(7)) + 12345
+    d = 3 ** round(digits / 3 / math.log10(3))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        num, den = str(n), str(d)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(num) == pytest.approx(digits, abs=2)
+    cases = {Fraction(n): num, Fraction(-n): "-" + num, Fraction(n, d): f"{num}/{den}", Fraction(-1, d): f"-1/{den}"}
+    for q, text in cases.items():
+        assert exact_text(q) == text
+

@@ -107,4 +107,3 @@ def test_exact_text_matches_str_at_any_length(digits):
     cases = {Fraction(n): num, Fraction(-n): "-" + num, Fraction(n, d): f"{num}/{den}", Fraction(-1, d): f"-1/{den}"}
     for q, text in cases.items():
         assert exact_text(q) == text
-

@@ -37,7 +37,7 @@ def star_clique_coloring(k: int, r: int) -> Coloring:
     assignment = {}
     for edge in itertools.combinations(range(n), k):
         assignment[edge] = edge[0] + 1 if edge[0] < centers else r
-    return Coloring(k, n, r, assignment)
+    return Coloring._checked(k, n, r, assignment)
 
 
 def full_star(n: int, k: int, center: int = 0) -> Hypergraph:

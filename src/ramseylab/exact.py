@@ -44,15 +44,21 @@ def integer_nth_root(x: int, m: int) -> tuple[int, bool]:
         raise ValueError(f"root index must be at least 1, got {m}")
     if m == 1 or x in (0, 1):
         return x, True
-    # Newton from above stays >= the floor root until it stalls.  Rooting the
-    # top half of the root's bits first starts it a few steps from the end;
-    # below 2m bits the root is at most 3.
+    y, power = _root_and_power(x, m)
+    return y, power * y == x
+
+
+def _root_and_power(x: int, m: int) -> tuple[int, int]:
+    """Floor y of x**(1/m) and y**(m-1), for x >= 2, m >= 2: Newton from above stays >= the floor
+    root until it stalls, on a step that has just taken y**(m-1).  Rooting the top half of the
+    root's bits first starts it a few steps from the end; below 2m bits the root is at most 3."""
     half = x.bit_length() // m // 2
-    y = (integer_nth_root(x >> half * m, m)[0] + 1) << half if half else 4
+    y = (_root_and_power(x >> half * m, m)[0] + 1) << half if half else 4
     while True:
-        z = ((m - 1) * y + x // y ** (m - 1)) // m
+        power = y ** (m - 1)
+        z = ((m - 1) * y + x // power) // m
         if z >= y:
-            return y, y**m == x
+            return y, power
         y = z
 
 

@@ -35,12 +35,17 @@ class Hypergraph:
             raise ValueError(f"uniformity must be at least 1, got {k}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon = {canonical_edge(edge, k, n) for edge in edges}
-        self.k = k
-        self.n = n
-        self._edges = tuple(sorted(canon))
+        self._fill(k, n, {canonical_edge(edge, k, n) for edge in edges})
+
+    def _fill(self, k: int, n: int, edges: Iterable[tuple[int, ...]]) -> Hypergraph:
+        self.k, self.n, self._edges, self._incidence = k, n, tuple(sorted(edges)), None
         self._edge_set = frozenset(self._edges)
-        self._incidence = None
+        return self
+
+    @classmethod
+    def _checked(cls, k: int, n: int, edges: Iterable[tuple[int, ...]]) -> Hypergraph:
+        """A hypergraph on edges the package has checked: canonical, distinct and in 0..n-1."""
+        return cls.__new__(cls)._fill(k, n, edges)
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -166,7 +171,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if edge in edges:
             raise ParseError(f"duplicate edge {' '.join(map(str, edge))}", lineno)
         edges.add(edge)
-    return Hypergraph(k, n, edges)
+    return Hypergraph._checked(k, n, edges)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

@@ -116,59 +116,38 @@ def verify_constant_inequalities(
       residual_clique_excess   r * (24/25)^k * C(Ar-1, k-1) < C((A-1)r, k),
                                one record per r in r_list  [asymptotic in r]
     """
+    try:
+        k, A, rs = operator.index(k), operator.index(A), sorted({operator.index(r) for r in r_list})
+    except TypeError:
+        raise ValueError(f"k, A and every r must be integers, got k={k!r}, A={A!r}") from None
     if k < 3:
         raise ValueError(f"uniformity must be at least 3, got {k}")
     if A < 2:
         raise ValueError(f"factor A must be at least 2, got {A}")
-    rs = sorted(set(int(r) for r in r_list))
     if any(r < 1 for r in rs):
         raise ValueError("r values must be positive")
 
-    records = []
-    records.append(
-        _record("k_below_geometric", {"k": k}, "<", k, Fraction(99, 96) ** k)
-    )
-    records.append(
-        _record("shrink_factor_floor", {"A": A}, ">=", 1 - Fraction(1, A), Fraction(99, 100))
-    )
-    records.append(
+    geometric, tenths = TWENTYFOUR_25THS**k, NINE_TENTHS**k
+    records = [
+        _record("k_below_geometric", {"k": k}, "<", k, Fraction(99, 96) ** k),
+        _record("shrink_factor_floor", {"A": A}, ">=", 1 - Fraction(1, A), Fraction(99, 100)),
         _record(
             "fractional_power_step", {"k": k, "exponent_step_ok": k < 2 * (k - 1)}, ">",
             TWENTYFOUR_25THS**2, NINE_TENTHS,
-        )
-    )
-    records.append(
-        _record(
-            "tail_power_bound", {"k": k}, "<",
-            ONE_TENTH ** (k - 2) * (k - 1), NINE_TENTHS**k,
-        )
-    )
-    records.append(
-        _record(
-            "shadow_average_excess", {"k": k}, ">",
-            Fraction(k - 1, 32 * k) * TWENTYFOUR_25THS ** (2 * k), NINE_TENTHS**k,
-        )
-    )
-    records.append(
-        _record(
-            "triple_split_margin", {"k": k}, "<",
-            NINE_TENTHS**k, TWENTYFOUR_25THS**k / (144 * k),
-        )
-    )
-    records.append(
+        ),
+        _record("tail_power_bound", {"k": k}, "<", ONE_TENTH ** (k - 2) * (k - 1), tenths),
+        _record("shadow_average_excess", {"k": k}, ">", Fraction(k - 1, 32 * k) * geometric**2, tenths),
+        _record("triple_split_margin", {"k": k}, "<", tenths, geometric / (144 * k)),
         _record(
             "sparse_degree_sufficient", {"k": k}, "<",
-            NINE_TENTHS ** (k - 2) * 48 * k * k, TWENTYFOUR_25THS**k,
-            asymptotic=True,
+            NINE_TENTHS ** (k - 2) * (48 * k * k), geometric, asymptotic=True,
+        ),
+    ]
+    records.extend(
+        _record(
+            "residual_clique_excess", {"k": k, "A": A, "r": r}, "<",
+            geometric * (r * comb(A * r - 1, k - 1)), Fraction(comb((A - 1) * r, k)), asymptotic=True,
         )
+        for r in rs
     )
-    for r in rs:
-        records.append(
-            _record(
-                "residual_clique_excess", {"k": k, "A": A, "r": r}, "<",
-                r * TWENTYFOUR_25THS**k * comb(A * r - 1, k - 1),
-                Fraction(comb((A - 1) * r, k)),
-                asymptotic=True,
-            )
-        )
     return IneqReport(tuple(records))

@@ -130,10 +130,16 @@ class Coloring:
             raise ValueError(
                 f"coloring must cover all {expected} edges of the complete hypergraph, got {len(canon)}"
             )
-        self.k = k
-        self.n = n
-        self.r = r
-        self._assignment = canon
+        self._fill(k, n, r, canon)
+
+    def _fill(self, k: int, n: int, r: int, assignment: dict[tuple[int, ...], int]) -> Coloring:
+        self.k, self.n, self.r, self._assignment = k, n, r, assignment
+        return self
+
+    @classmethod
+    def _checked(cls, k: int, n: int, r: int, assignment: dict[tuple[int, ...], int]) -> Coloring:
+        """A coloring the package has checked: every edge of K^(k)_n once, canonical, colored in 1..r."""
+        return cls.__new__(cls)._fill(k, n, r, assignment)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(edge, color) pairs in lexicographic edge order."""
@@ -144,7 +150,7 @@ class Coloring:
         """The edges of one color, as a hypergraph on the same vertex range."""
         if not 1 <= color <= self.r:
             raise ValueError(f"color {color} outside 1..{self.r}")
-        return Hypergraph(self.k, self.n, [e for e, c in self._assignment.items() if c == color])
+        return Hypergraph._checked(self.k, self.n, [e for e, c in self._assignment.items() if c == color])
 
     def class_sizes(self) -> dict[int, int]:
         sizes = {c: 0 for c in range(1, self.r + 1)}
@@ -164,10 +170,13 @@ class Coloring:
 def find_mono_loose_path(coloring: Coloring, length: int) -> tuple[int, LoosePathWitness] | None:
     """First color class (ascending) containing a loose path of the given length.
 
-    Only the colors in use are read, since an empty class holds no path.
+    One pass over the assignment groups the edges by color; an empty class holds no path.
     """
-    for color in sorted(set(coloring._assignment.values())):
-        witness = find_loose_path(coloring.color_class(color), length)
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for e, c in coloring._assignment.items():
+        classes.setdefault(c, []).append(e)
+    for color in sorted(classes):
+        witness = find_loose_path(Hypergraph._checked(coloring.k, coloring.n, classes[color]), length)
         if witness is not None:
             return color, witness
     return None
@@ -191,7 +200,7 @@ def parse_coloring(text: str) -> Coloring:
         if edge in assignment:
             raise ParseError(f"edge {' '.join(map(str, edge))} colored twice", lineno)
         assignment[edge] = color
-    return Coloring(k, n, r, assignment)
+    return Coloring._checked(k, n, r, assignment)
 
 
 def serialize_coloring(coloring: Coloring) -> str:

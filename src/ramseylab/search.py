@@ -405,7 +405,7 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
-        witness = Coloring(k, n, r, {e: c for e, c in zip(edges, colors)})
+        witness = Coloring._checked(k, n, r, dict(zip(edges, colors)))
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("search produced an invalid witness coloring")
     end = time.perf_counter()
@@ -458,7 +458,7 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     witness = None
     if pos is not None:
         edges = itertools.combinations(range(n), k)
-        witness = Coloring(k, n, r, {e: pos // r ** (m - 1 - i) % r + 1 for i, e in enumerate(edges)})
+        witness = Coloring._checked(k, n, r, {e: pos // r ** (m - 1 - i) % r + 1 for i, e in enumerate(edges)})
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("exhaustive enumeration produced an invalid witness")
     verdict = VERDICT_HOLDS if witness is None else VERDICT_FAILS
@@ -558,7 +558,7 @@ def turan_max_edges(k: int, n: int, pattern: str, budget: int = 0) -> TuranResul
     except StopIteration as stop:
         best_count, best_sel, nodes, prunes = stop.value
     searched = time.perf_counter()
-    extremal = Hypergraph(k, n, [edges[i] for i in best_sel])
+    extremal = Hypergraph._checked(k, n, [edges[i] for i in best_sel])
     if find_loose_path(extremal, length) is not None:
         raise RuntimeError("search produced an extremal witness containing the pattern")
     status = STATUS_LOWER_BOUND if budget and nodes > budget else STATUS_EXACT

@@ -184,6 +184,18 @@ def test_integer_nth_root_matches_reference(rng):
                 assert integer_nth_root(x, m) == reference_integer_nth_root(x, m), (x, m)
 
 
+@pytest.mark.parametrize("m", [100, 147, 199, 247, 248, 300])
+def test_integer_nth_root_large_roots(rng, m):
+    # The defining property, checked directly: y^m <= x < (y+1)^m and the flag
+    # says whether y^m == x, around perfect powers of 200- to 900-bit roots.
+    for bits in (200, 517, 830, 900):
+        root = rng.getrandbits(bits) | 1 << bits - 1
+        for x in (root**m - 1, root**m, root**m + 1):
+            y, exact = integer_nth_root(x, m)
+            assert y**m <= x < (y + 1) ** m
+            assert exact == (y**m == x) == (x == root**m)
+
+
 def random_root_case(rng):
     shape = rng.randrange(6)
     m = 1 if shape == 0 else rng.randint(2, 24)

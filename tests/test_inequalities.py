@@ -88,6 +88,46 @@ def test_invalid_parameters():
         verify_constant_inequalities(10, A=1)
     with pytest.raises(ValueError):
         verify_constant_inequalities(10, r_list=[0])
+    # Non-integral parameters are refused, not truncated or raised to float powers.
+    with pytest.raises(ValueError):
+        verify_constant_inequalities(10, r_list=[2.7])
+    with pytest.raises(ValueError):
+        verify_constant_inequalities(10, r_list=["3"])
+    with pytest.raises(ValueError):
+        verify_constant_inequalities(10.0)
+    with pytest.raises(ValueError):
+        verify_constant_inequalities(10, A=250.5)
+    with pytest.raises(ValueError):
+        verify_constant_inequalities("10")
+
+
+def literal_catalog(k, A, r_list):
+    """The docstring's catalog, each formula evaluated as written."""
+    g, t = Fraction(24, 25), Fraction(9, 10)
+    rows = [
+        ("k_below_geometric", {"k": k}, "<", k, Fraction(99, 96) ** k, False),
+        ("shrink_factor_floor", {"A": A}, ">=", 1 - Fraction(1, A), Fraction(99, 100), False),
+        ("fractional_power_step", {"k": k, "exponent_step_ok": k < 2 * (k - 1)}, ">", g**2, t, False),
+        ("tail_power_bound", {"k": k}, "<", Fraction(1, 10) ** (k - 2) * (k - 1), t**k, False),
+        ("shadow_average_excess", {"k": k}, ">", Fraction(k - 1) / (32 * k) * g ** (2 * k), t**k, False),
+        ("triple_split_margin", {"k": k}, "<", t**k, g**k / (144 * k), False),
+        ("sparse_degree_sufficient", {"k": k}, "<", t ** (k - 2) * 48 * k**2, g**k, True),
+    ]
+    for r in sorted(set(r_list)):
+        lhs = r * g**k * math.comb(A * r - 1, k - 1)
+        rows.append(("residual_clique_excess", {"k": k, "A": A, "r": r}, "<", lhs, math.comb((A - 1) * r, k), True))
+    compare = {"<": lambda a, b: a < b, ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
+    return [(name, params, rel, Fraction(lhs), Fraction(rhs), compare[rel](lhs, rhs), asym)
+            for name, params, rel, lhs, rhs, asym in rows]
+
+
+@pytest.mark.parametrize("r_list", [(), (1, 2, 3), (7, 40)])
+@pytest.mark.parametrize("A", [2, 100, 250])
+def test_catalog_matches_literal_formulas(A, r_list):
+    for k in range(3, 421):
+        got = [(rec.name, rec.params, rec.relation, rec.lhs, rec.rhs, rec.holds, rec.asymptotic)
+               for rec in verify_constant_inequalities(k, A, r_list).records]
+        assert got == literal_catalog(k, A, r_list), k
 
 
 @pytest.mark.parametrize("digits", [1_000, 30_000, 300_000])

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 from math import comb
 
@@ -19,6 +20,8 @@ from ramseylab import (
     serialize_coloring,
     star_clique_coloring,
 )
+from ramseylab import hypergraphs
+from ramseylab.cli import main
 from conftest import oracle_has_loose_path, random_hypergraph
 
 
@@ -287,3 +290,99 @@ def test_color_class_partitions_complete():
     coloring = star_clique_coloring(3, 3)
     total = sum(len(coloring.color_class(c)) for c in range(1, 4))
     assert total == comb(coloring.n, coloring.k)
+
+
+@pytest.fixture
+def edge_checks(monkeypatch):
+    """Count the calls of hypergraphs.canonical_edge, under every module name it is imported as."""
+    original, calls = hypergraphs.canonical_edge, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ramseylab") and getattr(module, "canonical_edge", None) is original:
+            monkeypatch.setattr(module, "canonical_edge", counted)
+    return calls
+
+
+def test_star_clique_coloring_builds_its_edges_checked(edge_checks):
+    star_clique_coloring(5, 4)
+    assert not edge_checks
+
+
+def test_verify_coloring_checks_each_edge_once(tmp_path, capsys, edge_checks):
+    target = tmp_path / "star-clique.txt"
+    target.write_text(serialize_coloring(star_clique_coloring(5, 4)), encoding="utf-8")
+    del edge_checks[:]
+    assert main(["verify-coloring", str(target)]) == 0
+    capsys.readouterr()
+    assert len(edge_checks) == comb(15, 5) == 3003  # the parser's check; nothing after it checks again
+
+
+def test_public_constructors_check_every_edge(edge_checks):
+    edges = list(itertools.combinations(range(7), 3))
+    Hypergraph(3, 7, edges[::2])
+    assert len(edge_checks) == len(edges[::2])
+    del edge_checks[:]
+    Coloring(3, 7, 2, {e: 1 + i % 2 for i, e in enumerate(edges)})
+    assert len(edge_checks) == len(edges)
+
+
+class CountingDict(dict):
+    """A dict that counts how often its entries are read in bulk."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def keys(self):
+        self.reads += 1
+        return super().keys()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def reference_mono_loose_path(coloring, length):
+    """One full scan of the coloring per color, colors ascending."""
+    for color in range(1, coloring.r + 1):
+        edges = [e for e, c in coloring.items() if c == color]
+        witness = find_loose_path(Hypergraph(coloring.k, coloring.n, edges), length) if edges else None
+        if witness is not None:
+            return color, witness
+    return None
+
+
+def random_colorings(rng):
+    for k, n in ((3, 7), (2, 6)):
+        edges = list(itertools.combinations(range(n), k))
+        for r in range(1, 7):
+            for _ in range(8):
+                yield Coloring(k, n, r, {e: rng.randint(1, r) for e in edges})
+            # leave colors unused: only two of the r colors, the largest among them
+            used = (r, max(1, r // 2))
+            yield Coloring(k, n, r, {e: rng.choice(used) for e in edges})
+
+
+def test_find_mono_loose_path_matches_per_color_loop(rng):
+    colorings = list(random_colorings(rng)) + [star_clique_coloring(4, 30), star_clique_coloring(3, 5)]
+    for coloring in colorings:
+        for length in (2, 3):
+            assert find_mono_loose_path(coloring, length) == reference_mono_loose_path(coloring, length)
+
+
+def test_find_mono_loose_path_reads_the_assignment_once(rng):
+    edges = list(itertools.combinations(range(7), 3))
+    coloring = Coloring(3, 7, 5, {e: rng.randint(2, 5) for e in edges})
+    coloring._assignment = CountingDict(coloring._assignment)
+    find_mono_loose_path(coloring, 3)
+    assert coloring._assignment.reads == 1

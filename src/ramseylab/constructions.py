@@ -34,10 +34,8 @@ def star_clique_coloring(k: int, r: int) -> Coloring:
     n = r + 3 * k - 4
     check_index_guard(comb(n, k), "edges")
     centers = r - 1
-    assignment = {}
-    for edge in itertools.combinations(range(n), k):
-        assignment[edge] = edge[0] + 1 if edge[0] < centers else r
-    return Coloring._checked(k, n, r, assignment)
+    colors = [e[0] + 1 if e[0] < centers else r for e in itertools.combinations(range(n), k)]
+    return Coloring._checked(k, n, r, colors)
 
 
 def full_star(n: int, k: int, center: int = 0) -> Hypergraph:
@@ -49,7 +47,7 @@ def full_star(n: int, k: int, center: int = 0) -> Hypergraph:
     check_index_guard(comb(n - 1, k - 1), "edges")
     others = [v for v in range(n) if v != center]
     edges = [tuple(sorted((center,) + rest)) for rest in itertools.combinations(others, k - 1)]
-    return Hypergraph(k, n, edges)
+    return Hypergraph._checked(k, n, edges)
 
 
 def pair_cover(n: int, k: int, pair: Sequence[int] = (0, 1)) -> Hypergraph:
@@ -67,7 +65,7 @@ def pair_cover(n: int, k: int, pair: Sequence[int] = (0, 1)) -> Hypergraph:
     base = tuple(sorted((a, b)))
     others = [v for v in range(n) if v not in base]
     edges = [tuple(sorted(base + rest)) for rest in itertools.combinations(others, k - 2)]
-    return Hypergraph(k, n, edges)
+    return Hypergraph._checked(k, n, edges)
 
 
 class BoundsReport(NamedTuple):

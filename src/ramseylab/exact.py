@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, comb
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 RationalLike = Fraction | int | str
 
@@ -95,11 +95,12 @@ def nth_root_interval(q: RationalLike, m: int, precision: RationalLike) -> Inter
     return Interval(cell * top / 2**steps, (cell + 1) * top / 2**steps)
 
 
-def _root_image(b, k, n, precision, scale_of: Callable[[], int], power: int, flip: bool) -> Interval:
-    """Enclose y^power * scale_of() for y = 1 - x if `flip` else x, where x = (b/(k-1))^(1/(k-2)).
+def _root_image(b, k, n, precision, deficiency: bool) -> Interval:
+    """Enclose (1 - x)^(k-1) * C(n-1, k-1) if `deficiency` else x * (n-1), for x = (b/(k-1))^(1/(k-2)).
 
-    y^power is monotone and x lies in [0, 1] (b/(k-1) <= 1), so the root's enclosure maps
-    endpoint by endpoint; the root's precision halves until the image is within `precision`.
+    Both images are monotone in x, which lies in [0, 1] (b/(k-1) <= 1), and move there by at most
+    power * scale per unit of x; so the root's cell, no wider than precision / (power * scale),
+    maps endpoint by endpoint to an enclosure within `precision`.
     """
     b = Fraction(b)
     precision = Fraction(precision)
@@ -111,18 +112,12 @@ def _root_image(b, k, n, precision, scale_of: Callable[[], int], power: int, fli
         raise ValueError(f"need 0 < b <= k-1, got b={b}, k={k}")
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    scale = scale_of()
+    power, scale = (k - 1, comb(n - 1, k - 1)) if deficiency else (1, n - 1)
     if scale == 0:
         return Interval(Fraction(0), Fraction(0))
-    q = b / (k - 1)
-    eps = precision / (power * scale)
-    while True:
-        root = nth_root_interval(q, k - 2, eps)
-        ends = (1 - root.hi, 1 - root.lo) if flip else (root.lo, root.hi)
-        lo, hi = (y**power * scale for y in ends)
-        if hi <= lo + precision:  # hi - lo would take a gcd of huge denominators
-            return Interval(lo, hi)
-        eps /= 2
+    root = nth_root_interval(b / (k - 1), k - 2, precision / (power * scale))
+    ends = (1 - root.hi, 1 - root.lo) if deficiency else root
+    return Interval(*(y**power * scale for y in ends))
 
 
 def star_deficiency_bound(
@@ -134,7 +129,7 @@ def star_deficiency_bound(
     hypergraph can keep away from a vertex of degree >= b * C(n-1, k-1).
     Requires k >= 3 and 0 < b <= k-1.
     """
-    return _root_image(b, k, n, precision, lambda: comb(n - 1, k - 1), k - 1, flip=True)
+    return _root_image(b, k, n, precision, deficiency=True)
 
 
 def link_support_lower_bound(
@@ -145,4 +140,4 @@ def link_support_lower_bound(
     This is the guaranteed vertex-support size of a sub-link whose minimum
     degree reaches b/(k-1) * C(n-2, k-2).  Requires k >= 3 and 0 < b <= k-1.
     """
-    return _root_image(b, k, n, precision, lambda: n - 1, 1, flip=False)
+    return _root_image(b, k, n, precision, deficiency=False)

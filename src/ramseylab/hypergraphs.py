@@ -107,7 +107,7 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
     """The complete k-graph on n vertices, with all C(n, k) edges."""
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return Hypergraph(k, n, itertools.combinations(range(n), k))
+    return Hypergraph._checked(k, n, itertools.combinations(range(n), k))
 
 
 def _integers(fields: list[str], lineno: int) -> list[int]:

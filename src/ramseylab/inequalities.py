@@ -92,9 +92,7 @@ class IneqReport(NamedTuple):
 _COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge}
 
 
-def _record(name, params, relation, lhs, rhs, asymptotic=False) -> IneqRecord:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
+def _record(name, params, relation, lhs: Fraction, rhs: Fraction, asymptotic=False) -> IneqRecord:
     return IneqRecord(name, params, relation, lhs, rhs, _COMPARE[relation](lhs, rhs), asymptotic)
 
 
@@ -129,7 +127,7 @@ def verify_constant_inequalities(
 
     geometric, tenths = TWENTYFOUR_25THS**k, NINE_TENTHS**k
     records = [
-        _record("k_below_geometric", {"k": k}, "<", k, Fraction(99, 96) ** k),
+        _record("k_below_geometric", {"k": k}, "<", Fraction(k), Fraction(99, 96) ** k),
         _record("shrink_factor_floor", {"A": A}, ">=", 1 - Fraction(1, A), Fraction(99, 100)),
         _record(
             "fractional_power_step", {"k": k, "exponent_step_ok": k < 2 * (k - 1)}, ">",

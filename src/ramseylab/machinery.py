@@ -128,7 +128,7 @@ def peel_min_degree(h: Hypergraph) -> Hypergraph:
     edges = _peel(h.edges, h.support(), lambda v, d: d <= threshold)
     if not edges:
         raise RuntimeError("degree peel emptied the hypergraph; impossible for inputs with an edge")
-    return Hypergraph(h.k, h.n, edges)
+    return Hypergraph._checked(h.k, h.n, edges)
 
 
 def prune_bipartite(b: BipartiteGraph) -> BipartiteGraph:

@@ -7,6 +7,7 @@ path of length two is a pair of edges sharing exactly one vertex.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -106,9 +107,12 @@ def is_full_star(h: Hypergraph) -> bool:
 
 
 class Coloring:
-    """A total r-coloring of the edges of the complete k-graph on n vertices."""
+    """A total r-coloring of the edges of the complete k-graph on n vertices.
 
-    __slots__ = ("k", "n", "r", "_assignment")
+    `colors[i]` is the color of the i-th k-set of `itertools.combinations(range(n), k)`.
+    """
+
+    __slots__ = ("k", "n", "r", "colors")
 
     def __init__(self, k: int, n: int, r: int, assignment: Mapping[Sequence[int], int]):
         if k < 2:
@@ -130,38 +134,40 @@ class Coloring:
             raise ValueError(
                 f"coloring must cover all {expected} edges of the complete hypergraph, got {len(canon)}"
             )
-        self._fill(k, n, r, canon)
+        self._fill(k, n, r, [canon[e] for e in combinations(range(n), k)])
 
-    def _fill(self, k: int, n: int, r: int, assignment: dict[tuple[int, ...], int]) -> Coloring:
-        self.k, self.n, self.r, self._assignment = k, n, r, assignment
+    def _fill(self, k: int, n: int, r: int, colors: Sequence[int]) -> Coloring:
+        colors = tuple(colors)
+        if len(colors) != comb(n, k) or min(colors, default=1) < 1 or max(colors, default=r) > r:
+            raise ValueError(f"a coloring of K^({k})_{n} takes {comb(n, k)} colors in 1..{r}")
+        self.k, self.n, self.r, self.colors = k, n, r, colors
         return self
 
     @classmethod
-    def _checked(cls, k: int, n: int, r: int, assignment: dict[tuple[int, ...], int]) -> Coloring:
-        """A coloring the package has checked: every edge of K^(k)_n once, canonical, colored in 1..r."""
-        return cls.__new__(cls)._fill(k, n, r, assignment)
+    def _checked(cls, k: int, n: int, r: int, colors: Sequence[int]) -> Coloring:
+        """The coloring with these colors in lex edge order, checked for their count and range only."""
+        return cls.__new__(cls)._fill(k, n, r, colors)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(edge, color) pairs in lexicographic edge order."""
-        for e in sorted(self._assignment):
-            yield e, self._assignment[e]
+        return zip(combinations(range(self.n), self.k), self.colors)
 
     def color_class(self, color: int) -> Hypergraph:
         """The edges of one color, as a hypergraph on the same vertex range."""
         if not 1 <= color <= self.r:
             raise ValueError(f"color {color} outside 1..{self.r}")
-        return Hypergraph._checked(self.k, self.n, [e for e, c in self._assignment.items() if c == color])
+        return Hypergraph._checked(self.k, self.n, [e for e, c in self.items() if c == color])
 
     def class_sizes(self) -> dict[int, int]:
         sizes = {c: 0 for c in range(1, self.r + 1)}
-        for c in self._assignment.values():
+        for c in self.colors:
             sizes[c] += 1
         return sizes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
-        return (self.k, self.n, self.r, self._assignment) == (other.k, other.n, other.r, other._assignment)
+        return (self.k, self.n, self.r, self.colors) == (other.k, other.n, other.r, other.colors)
 
     def __repr__(self) -> str:
         return f"Coloring(k={self.k}, n={self.n}, r={self.r})"
@@ -170,10 +176,10 @@ class Coloring:
 def find_mono_loose_path(coloring: Coloring, length: int) -> tuple[int, LoosePathWitness] | None:
     """First color class (ascending) containing a loose path of the given length.
 
-    One pass over the assignment groups the edges by color; an empty class holds no path.
+    One pass over the colors groups the edges by color; an empty class holds no path.
     """
     classes: dict[int, list[tuple[int, ...]]] = {}
-    for e, c in coloring._assignment.items():
+    for e, c in coloring.items():
         classes.setdefault(c, []).append(e)
     for color in sorted(classes):
         witness = find_loose_path(Hypergraph._checked(coloring.k, coloring.n, classes[color]), length)
@@ -200,7 +206,7 @@ def parse_coloring(text: str) -> Coloring:
         if edge in assignment:
             raise ParseError(f"edge {' '.join(map(str, edge))} colored twice", lineno)
         assignment[edge] = color
-    return Coloring._checked(k, n, r, assignment)
+    return Coloring._checked(k, n, r, [assignment[e] for e in combinations(range(n), k)])
 
 
 def serialize_coloring(coloring: Coloring) -> str:

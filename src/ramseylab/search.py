@@ -1,8 +1,8 @@
 """Exact decision of small Ramsey instances, Turan maximization, CNF export.
 
-The backtracking coloring engine and the independent exhaustive oracle must
-agree on every instance the oracle can enumerate; both re-verify any witness
-through the patterns module before returning it.
+The backtracking engine and the exhaustive oracle search differently and must agree
+wherever the oracle can enumerate.  Both read `_edge_bitsets`, which the tests check
+against reference builds, and re-verify any witness with `find_mono_loose_path`.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ def decide_ramsey(k: int, r: int, n: int, budget: int = 0) -> SearchOutcome:
     searched = time.perf_counter()
     witness = None
     if verdict == VERDICT_FAILS:
-        witness = Coloring._checked(k, n, r, dict(zip(edges, colors)))
+        witness = Coloring._checked(k, n, r, colors)
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("search produced an invalid witness coloring")
     end = time.perf_counter()
@@ -442,8 +442,8 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     Runs `_first_model` on `export_cnf(k, r, n)`: the lex position p of the
     first path-free coloring gives its colors as base-r digits, and
     `stats.nodes` is p + 1 (r^C(n,k) if none is free).  Refuses instances
-    with more than 10^8 colorings before any setup.  It shares no search
-    code with the backtracking engine, so the two can cross-check.
+    with more than 10^8 colorings before any setup.  Its search loop is its
+    own, but its copies come from the DFS's bitsets (see the module docstring).
     """
     if k < 2 or r < 1 or n < k:
         raise ValueError(f"need k >= 2, r >= 1, n >= k; got k={k}, r={r}, n={n}")
@@ -457,8 +457,7 @@ def exhaustive_decide(k: int, r: int, n: int) -> SearchOutcome:
     pos = _first_model(export_cnf(k, r, n))
     witness = None
     if pos is not None:
-        edges = itertools.combinations(range(n), k)
-        witness = Coloring._checked(k, n, r, {e: pos // r ** (m - 1 - i) % r + 1 for i, e in enumerate(edges)})
+        witness = Coloring._checked(k, n, r, [pos // r ** (m - 1 - i) % r + 1 for i in range(m)])
         if find_mono_loose_path(witness, 3) is not None:
             raise RuntimeError("exhaustive enumeration produced an invalid witness")
     verdict = VERDICT_HOLDS if witness is None else VERDICT_FAILS

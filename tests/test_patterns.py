@@ -16,7 +16,9 @@ from ramseylab import (
     full_star,
     is_full_star,
     is_star,
+    pair_cover,
     parse_coloring,
+    peel_min_degree,
     serialize_coloring,
     star_clique_coloring,
 )
@@ -312,6 +314,16 @@ def test_star_clique_coloring_builds_its_edges_checked(edge_checks):
     assert not edge_checks
 
 
+def test_built_hypergraphs_skip_the_edge_check(edge_checks):
+    sparse = Hypergraph(3, 9, [*itertools.combinations(range(7), 3), (6, 7, 8)])
+    del edge_checks[:]
+    built = [complete_hypergraph(9, 3), peel_min_degree(sparse), full_star(9, 3, center=4), pair_cover(9, 3, (5, 2))]
+    assert not edge_checks
+    assert [len(h) for h in built] == [84, 35, 28, 7]
+    for h in built:  # already canonical and in order, as the public constructor would leave them
+        assert Hypergraph(h.k, h.n, h.edges).edges == h.edges
+
+
 def test_verify_coloring_checks_each_edge_once(tmp_path, capsys, edge_checks):
     target = tmp_path / "star-clique.txt"
     target.write_text(serialize_coloring(star_clique_coloring(5, 4)), encoding="utf-8")
@@ -330,26 +342,22 @@ def test_public_constructors_check_every_edge(edge_checks):
     assert len(edge_checks) == len(edges)
 
 
-class CountingDict(dict):
-    """A dict that counts how often its entries are read in bulk."""
+class CountingTuple(tuple):
+    """A tuple that counts the passes made over it."""
 
-    reads = 0
-
-    def items(self):
-        self.reads += 1
-        return super().items()
-
-    def values(self):
-        self.reads += 1
-        return super().values()
-
-    def keys(self):
-        self.reads += 1
-        return super().keys()
+    passes = 0
 
     def __iter__(self):
-        self.reads += 1
+        self.passes += 1
         return super().__iter__()
+
+    def count(self, value):
+        self.passes += 1
+        return super().count(value)
+
+    def index(self, *args):
+        self.passes += 1
+        return super().index(*args)
 
 
 def reference_mono_loose_path(coloring, length):
@@ -383,6 +391,25 @@ def test_find_mono_loose_path_matches_per_color_loop(rng):
 def test_find_mono_loose_path_reads_the_assignment_once(rng):
     edges = list(itertools.combinations(range(7), 3))
     coloring = Coloring(3, 7, 5, {e: rng.randint(2, 5) for e in edges})
-    coloring._assignment = CountingDict(coloring._assignment)
+    coloring.colors = CountingTuple(coloring.colors)
     find_mono_loose_path(coloring, 3)
-    assert coloring._assignment.reads == 1
+    assert coloring.colors.passes == 1
+
+
+def test_coloring_keeps_one_color_per_edge():
+    tracemalloc.start()
+    try:
+        coloring = star_clique_coloring(4, 30)  # 73,815 edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coloring.colors) == comb(coloring.n, 4) == 73815
+    assert peak < 2 << 20
+
+
+def test_private_coloring_constructor_checks_count_and_range():
+    assert Coloring._checked(2, 4, 2, [1, 2, 1, 2, 1, 2]).class_sizes() == {1: 3, 2: 3}
+    for colors in ([1] * 5, [1] * 7, [1] * 5 + [3], [0] + [1] * 5):
+        with pytest.raises(ValueError):
+            Coloring._checked(2, 4, 2, colors)
+    assert Coloring._checked(3, 2, 1, []).colors == ()  # K^(3)_2 has no edge

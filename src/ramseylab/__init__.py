@@ -1,11 +1,10 @@
 """Exact combinatorics of loose paths in k-uniform hypergraphs.
 
 Core objects: immutable hypergraphs and total edge colorings; pattern
-detection for loose paths and stars; the star+clique lower-bound coloring;
-exact Ramsey/Turan decision engines with CNF export; proof machinery
-(peeling, pruning, tripartition, derandomized splitting) and bit-exact
-inequality certificates.  That proof layer (`machinery`, `exact`,
-`inequalities`) has no caller among the engines, so it loads on first use.
+detection for loose paths and stars; exact Ramsey/Turan decision engines.
+The modules no engine reads load on first use: the star+clique coloring and
+other constructions, the CNF export and exhaustive oracle (`cnf`), and the
+proof layer of machinery and bit-exact inequality certificates.
 """
 
 import importlib
@@ -28,13 +27,6 @@ from .patterns import (
     parse_coloring,
     serialize_coloring,
 )
-from .constructions import (
-    BoundsReport,
-    full_star,
-    pair_cover,
-    ramsey_bounds,
-    star_clique_coloring,
-)
 from .search import (
     PATTERN_LOOSE_PATH_2,
     PATTERN_LOOSE_PATH_3,
@@ -43,22 +35,19 @@ from .search import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_UNKNOWN,
-    CnfInstance,
     SearchOutcome,
     SearchStats,
     TuranResult,
-    cnf_satisfiable,
     decide_ramsey,
-    enumerate_loose_paths,
-    exhaustive_decide,
-    export_cnf,
     turan_max_edges,
 )
 
 __version__ = "0.1.0"
 
-# The names of the proof layer, per module; each loads on first access (PEP 562).
+# The names of the modules no engine reads, per module; each loads on first access (PEP 562).
 _LAZY = {
+    "cnf": ("CnfInstance", "cnf_satisfiable", "enumerate_loose_paths", "exhaustive_decide", "export_cnf"),
+    "constructions": ("BoundsReport", "full_star", "pair_cover", "ramsey_bounds", "star_clique_coloring"),
     "machinery": ("BipartiteGraph", "SplitAssignment", "StabilityReport", "Tripartition", "derandomized_split",
                   "greedy_tripartition", "peel_min_degree", "prune_bipartite", "stability_deficiency"),
     "exact": ("Interval", "integer_nth_root", "link_support_lower_bound", "nth_root_interval", "star_deficiency_bound"),

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from .cnf import export_cnf
 from .constructions import full_star, pair_cover, ramsey_bounds, star_clique_coloring
 from .errors import ParseError
 from .hypergraphs import parse_hypergraph, serialize_hypergraph
@@ -41,7 +42,6 @@ from .search import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     decide_ramsey,
-    export_cnf,
     turan_max_edges,
 )
 

@@ -125,8 +125,8 @@ class Coloring:
         canon: dict[tuple[int, ...], int] = {}
         for edge, color in assignment.items():
             e = canonical_edge(edge, k, n)
-            if not 1 <= color <= r:
-                raise ValueError(f"color {color} outside 1..{r}")
+            if type(color) is not int or not 1 <= color <= r:  # bool, float and Fraction compare as numbers
+                raise ValueError(f"color {color!r} outside the integers 1..{r}")
             if e in canon:
                 raise ValueError(f"edge {e} colored twice")
             canon[e] = color

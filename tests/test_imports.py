@@ -5,8 +5,11 @@ unused-import check: deleting the last use of an import fails here.
 `__init__.py` is exempt, since its imports are the package's re-exports,
 and so is `from __future__ import ...`; instead its `__all__` must name
 exactly what it imports plus the names of its lazy table, so
-`from ramseylab import *` keeps working.  The proof layer (`machinery`,
-`exact`, `inequalities`) loads on first use, not with the package.
+`from ramseylab import *` keeps working.  `import ramseylab` loads only
+`errors`, `hypergraphs`, `patterns` and the engines (`search`); the modules
+no engine reads (`cnf`, `constructions` and the proof layer of `machinery`,
+`exact` and `inequalities`) load on first use, and the engines' calls load
+none of them.  The CLI imports every module at once.
 The runtime has no dependency: no module, import or CLI run loads numpy,
 which only the tests' reference builds use.  The result types are
 NamedTuples, so neither the package nor the CLI loads `dataclasses` or
@@ -69,8 +72,34 @@ def test_import_leaves_the_proof_layer_unloaded():
     check = (
         "import ramseylab, sys\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('ramseylab'))\n"
-        "assert loaded == ['ramseylab', 'ramseylab.constructions', 'ramseylab.errors', 'ramseylab.hypergraphs',"
+        "assert loaded == ['ramseylab', 'ramseylab.errors', 'ramseylab.hypergraphs',"
         " 'ramseylab.patterns', 'ramseylab.search'], loaded\n"
+    )
+    result = run_python(check)
+    assert result.returncode == 0, result.stderr
+
+
+def test_engine_calls_load_no_lazy_module():
+    # The engines' calls, their witness re-checks and the text round trip of an
+    # extremal leave `cnf`, `constructions` and the proof layer unloaded; the CLI
+    # still imports them all at once.
+    check = (
+        "import ramseylab as R, sys\n"
+        "fails = R.decide_ramsey(2, 4, 8)\n"
+        "assert fails.verdict == 'fails' and R.find_mono_loose_path(fails.witness, 3) is None\n"
+        "assert R.decide_ramsey(3, 2, 8).verdict == 'holds'\n"
+        "lp2 = R.turan_max_edges(3, 7, 'loose-path-2')\n"
+        "lp3 = R.turan_max_edges(3, 7, 'loose-path-3')\n"
+        "assert (lp2.status, lp3.status) == ('exact', 'exact'), (lp2, lp3)\n"
+        "h = lp3.extremal\n"
+        "assert R.parse_hypergraph(R.serialize_hypergraph(h)).edges == h.edges\n"
+        "lazy = [f'ramseylab.{m}' for m in R._LAZY]\n"
+        "assert sorted(lazy) == ['ramseylab.cnf', 'ramseylab.constructions', 'ramseylab.exact',"
+        " 'ramseylab.inequalities', 'ramseylab.machinery'], lazy\n"
+        "loaded = [m for m in lazy if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import ramseylab.cli\n"
+        "assert {'ramseylab.cnf', 'ramseylab.constructions'} <= set(sys.modules)\n"
     )
     result = run_python(check)
     assert result.returncode == 0, result.stderr
@@ -101,7 +130,7 @@ def test_lazy_names_are_their_modules_objects(module):
 
 def test_dir_lists_every_public_name():
     assert set(ramseylab.__all__) <= set(dir(ramseylab))
-    assert {"machinery", "exact", "inequalities"} <= set(dir(ramseylab))
+    assert {"cnf", "constructions", "machinery", "exact", "inequalities"} <= set(dir(ramseylab))
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -266,6 +267,19 @@ def test_coloring_validation():
         Coloring(2, 4, 2, {e: 1 for e in edges[:-1]})  # not total
     with pytest.raises(ValueError):
         Coloring(2, 4, 2, {e: 3 for e in edges})  # color out of range
+
+
+def test_coloring_refuses_non_integer_colors():
+    # 1.5 and True compare within 1..2, yet neither is a color: such a coloring
+    # broke `class_sizes` (KeyError: 1.5) and wrote text `parse_coloring` refused.
+    with pytest.raises(ValueError, match=r"color 1\.5 outside the integers 1\.\.2"):
+        Coloring(2, 3, 2, {(0, 1): 1.5, (0, 2): True, (1, 2): 2})
+    for color in (True, 1.0, Fraction(1), 2.0):
+        with pytest.raises(ValueError, match=r"outside the integers 1\.\.2"):
+            Coloring(2, 3, 2, {(0, 1): 1, (0, 2): color, (1, 2): 2})
+    coloring = Coloring(2, 3, 2, {(0, 1): 1, (0, 2): 1, (1, 2): 2})
+    assert coloring.class_sizes() == {1: 2, 2: 1}
+    assert parse_coloring(serialize_coloring(coloring)) == coloring
 
 
 def test_coloring_round_trip():

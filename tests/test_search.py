@@ -23,11 +23,12 @@ from ramseylab import (
     export_cnf,
     find_loose_path,
     find_mono_loose_path,
+    pair_cover,
     serialize_coloring,
     serialize_hypergraph,
     turan_max_edges,
 )
-from ramseylab import errors, search
+from ramseylab import cnf, errors, search
 from ramseylab.search import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_UNKNOWN
 from conftest import oracle_has_loose_path
 from test_acceptance import ORACLE_INSTANCES
@@ -233,14 +234,14 @@ def reference_lexsort_closing_table(n, k, length):
 
 
 def walk_rows(n, k, length):
-    """The copies `search._copy_walk` visits, as rows of edge ranks; checks each ends stream on the way.
+    """The copies `cnf._copy_walk` visits, as rows of edge ranks; checks each ends stream on the way.
 
     Item t is (t,), so the ends of a partner must come one item per set
     mask bit, ends ascending.
     """
     edges = list(itertools.combinations(range(n), k))
     rows = []
-    for a, partners, masks, ends in search._copy_walk(edges, n, length, [(t,) for t in range(len(edges))]):
+    for a, partners, masks, ends in cnf._copy_walk(edges, n, length, [(t,) for t in range(len(edges))]):
         ends = iter(t for t, in ends)
         for b, mask in zip(partners, masks):
             ts = list(itertools.islice(ends, mask.bit_count()))
@@ -337,7 +338,7 @@ def test_export_cnf_slices_match_default(monkeypatch, size):
     cases = [(k, r, n) for k, r, n in cases if size > 1 or search._copy_count(n, k, 3) < 30000]
     instances = {case: export_cnf(*case) for case in cases}
     texts = {case: inst.to_dimacs() for case, inst in instances.items()}
-    monkeypatch.setattr(search, "_SLICE", size)
+    monkeypatch.setattr(cnf, "_SLICE", size)
     for case, inst in instances.items():
         assert inst.to_dimacs() == texts[case], case
 
@@ -528,7 +529,7 @@ def test_exhaustive_copy_free_skips_low_block(monkeypatch):
     def refuse(m, r):
         raise AssertionError("_low_block called on a copy-free instance")
 
-    monkeypatch.setattr(search, "_low_block", refuse)
+    monkeypatch.setattr(cnf, "_low_block", refuse)
     outcome = exhaustive_decide(3, 2, 6)
     assert (outcome.verdict, outcome.stats.nodes) == (VERDICT_FAILS, 1)
     assert serialize_coloring(outcome.witness) == expected
@@ -551,8 +552,8 @@ def test_oracles_independent_of_chunk(monkeypatch):
     # A small chunk splits the colorings into many prefixes with a short low
     # block; at (2,3,5) the witness then lies past the first block.
     expected = {args: _oracle_answers(*args) for args in SMALL_ORACLE_INSTANCES}
-    monkeypatch.setattr(search, "_CHUNK", 16)
-    h, eq = search._low_block(10, 3)
+    monkeypatch.setattr(cnf, "_CHUNK", 16)
+    h, eq = cnf._low_block(10, 3)
     assert (h, len(eq)) == (8, 2) and all(row[0] | row[1] | row[2] == (1 << 9) - 1 for row in eq)
     for args in SMALL_ORACLE_INSTANCES:
         assert _oracle_answers(*args) == expected[args], args
@@ -565,11 +566,11 @@ def test_low_block_matches_digits(monkeypatch, chunk, r):
     # of j written in base r is c; chunk 1 and r = 1 leave no low colorings
     # beyond the single empty or all-zero one.
     if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
+        monkeypatch.setattr(cnf, "_CHUNK", chunk)
     for m in range(9):
-        h, eq = search._low_block(m, r)
+        h, eq = cnf._low_block(m, r)
         low = m - h
-        assert len(eq) == low and r**low <= search._CHUNK and (low == m or r ** (low + 1) > search._CHUNK)
+        assert len(eq) == low and r**low <= cnf._CHUNK and (low == m or r ** (low + 1) > cnf._CHUNK)
         for e, row in enumerate(eq):
             digits = [j // r ** (low - 1 - e) % r for j in range(r**low)]
             expected = ["".join("1" if d == c else "0" for d in digits) for c in range(r)]
@@ -600,7 +601,7 @@ def test_exhaustive_matches_brute_force(monkeypatch, chunk, k, r, n):
     # resolved against the prefix alone.
     assert r ** comb(n, k) <= 4096
     if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
+        monkeypatch.setattr(cnf, "_CHUNK", chunk)
     pos, colors = brute_force_first_free(k, r, n)
     outcome = exhaustive_decide(k, r, n)
     assert outcome.stats.nodes == pos
@@ -624,7 +625,7 @@ def _subset_checker(rows, edges):
 
 
 def subset_walk(rows):
-    """Stand-in for `search._copy_walk` at length 3 that walks only the given (a, b, t) rows, in their order."""
+    """Stand-in for `cnf._copy_walk` at length 3 that walks only the given (a, b, t) rows, in their order."""
 
     def walk(edges, n, length, items):
         for a in range(len(edges)):
@@ -641,16 +642,20 @@ def test_exhaustive_on_copy_subsets(monkeypatch, rng, chunk):
     # On complete hosts the first path-free coloring barely depends on the
     # per-prefix masks; random subsets of the copies move it, so a dropped or
     # misfiled mask changes the verdict, the witness or the count.
+    # Each instance's copies are walked before any walk is patched.
     if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
-    for k, r, n in [(2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 4, 4)]:
+        monkeypatch.setattr(cnf, "_CHUNK", chunk)
+    cases = [(2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 4, 4)]
+    fulls = {(k, n): walk_rows(n, k, 3) for k, _, n in cases}
+    for k, r, n in cases:
         edges = list(itertools.combinations(range(n), k))
-        full = walk_rows(n, k, 3)
+        full = fulls[k, n]
+        assert len(full) == oracle_count_paths(n, k, 3)
         for _ in range(25):
             keep = sorted(rng.sample(range(len(full)), rng.randint(1, len(full))))
             rows = [full[i] for i in keep]
-            monkeypatch.setattr(search, "_copy_walk", subset_walk(rows))
-            monkeypatch.setattr(search, "find_mono_loose_path", _subset_checker(rows, edges))
+            monkeypatch.setattr(cnf, "_copy_walk", subset_walk(rows))
+            monkeypatch.setattr(cnf, "find_mono_loose_path", _subset_checker(rows, edges))
             expected_pos, expected = r ** len(edges), None
             for pos, colors in enumerate(itertools.product(range(1, r + 1), repeat=len(edges)), 1):
                 if all(len({colors[i] for i in row}) > 1 for row in rows):
@@ -853,7 +858,7 @@ def tree_of(result):
 
 @pytest.mark.parametrize("engine, a, b, c, budget, tree", ENGINE_GOLDEN_ROWS)
 def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree):
-    # Both engines fold from edge bitsets; with the copy walk refused they
+    # Both engines fold from edge bitsets; with the copy walk of `cnf` refused they
     # still visit the pinned tree, and their payloads (witness or extremal
     # included) match a run on a memo of the index-derived closing rows.
     def refuse(*args):
@@ -862,7 +867,7 @@ def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree)
     def call():
         return getattr(search, engine)(a, b, c, budget=budget)
 
-    monkeypatch.setattr(search, "_copy_walk", refuse)
+    monkeypatch.setattr(cnf, "_copy_walk", refuse)
     result = call()
     assert tree_of(result) == tree
     monkeypatch.setattr(search, "_tables", reference_tables)
@@ -1235,6 +1240,20 @@ def test_pruned_turan_matches_naive(instance, budget):
     assert tree + (serialize_hypergraph(result.extremal),) == naive_pruned_turan(*instance, budget)
 
 
+def test_turan_seed_reads_pair_cover_and_matching_off_the_edges():
+    # The loose-path-2 seed comes off the lex edge list with no Hypergraph built;
+    # `pair_cover` (k >= 3) and the matching {(v, v+1) : v even} (k = 2) stay the references.
+    for n in range(2, 13):
+        for k in range(2, n + 1):
+            edges = list(itertools.combinations(range(n), k))
+            rank = {e: i for i, e in enumerate(edges)}
+            if k >= 3:
+                expected = sorted(rank[e] for e in pair_cover(n, k).edges)
+            else:
+                expected = sorted(rank[(v, v + 1)] for v in range(0, n - 1, 2))
+            assert search._turan_seed(k, n, "loose-path-2", edges) == expected, (k, n)
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(quick_turan_instances(), st.integers(1, 50))
 @example((3, 8, "loose-path-3"), 500000)  # the golden row the reference leaves at 21
@@ -1370,7 +1389,7 @@ def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
     # positive literals run a path of `_first_model` that the all-negative
     # copy clauses of `exhaustive_decide` never take.
     if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
+        monkeypatch.setattr(cnf, "_CHUNK", chunk)
     edges = tuple(itertools.combinations(range(4), 2))
     for trial in range(300):
         r = rng.randint(2, 3)
@@ -1398,7 +1417,7 @@ def test_cnf_satisfiable_random_clauses(monkeypatch, rng, chunk):
         )
         first = next(models, None)
         instance = CnfInstance(2, 4, r, edges, clauses, 0)
-        assert search._first_model(instance) == first, clauses
+        assert cnf._first_model(instance) == first, clauses
         assert cnf_satisfiable(instance) == (first is not None), clauses
 
 
@@ -1409,7 +1428,7 @@ def test_cnf_satisfiable_drops_full_clauses(monkeypatch):
     def refuse(m, r):
         raise AssertionError("_low_block called although every clause holds")
 
-    monkeypatch.setattr(search, "_low_block", refuse)
+    monkeypatch.setattr(cnf, "_low_block", refuse)
     inst = export_cnf(3, 2, 6)
     assert inst.path_count == 0 and cnf_satisfiable(inst)
     with pytest.raises(ValueError, match="literal"):

@@ -1,4 +1,4 @@
-"""Command-line frontend.  Thin adapters over the library, nothing more.
+"""Command-line frontend: thin adapters over the library, which build every `--json` payload.
 
 Exit codes: 0 computed/holds/absent, 1 witness-found/fails, 2 unknown or
 budget exhausted, 64 usage error, 65 parse error, 70 internal error.
@@ -118,19 +118,24 @@ def cmd_ramsey(args, started: float) -> int:
     stats = outcome.stats
     summary = (f"ramsey k={args.k} r={args.r} n={args.n}: {outcome.verdict}"
                f" (nodes={stats.nodes}, prunes={stats.prunes}, max_depth={stats.max_depth})")
-    _emit(args, "ramsey", params, outcome.to_json_obj(), started, summary, stats, class_cap=stats.class_cap)
+    # Wall time stays out of the payload, so identical runs print identical payloads.
+    payload = {"verdict": outcome.verdict, "witness": serialize_coloring(outcome.witness) if outcome.witness else None,
+               "stats": {"nodes": stats.nodes, "prunes": stats.prunes}}
+    _emit(args, "ramsey", params, payload, started, summary, stats, class_cap=stats.class_cap)
     return {VERDICT_HOLDS: EXIT_OK, VERDICT_FAILS: EXIT_WITNESS}.get(outcome.verdict, EXIT_UNKNOWN)
 
 
 def cmd_turan(args, started: float) -> int:
     result = turan_max_edges(args.k, args.n, args.pattern, budget=args.budget)
     params = {"k": args.k, "n": args.n, "pattern": args.pattern, "budget": args.budget}
+    stats = result.stats
     summary = (
         f"turan k={args.k} n={args.n} pattern={args.pattern}:"
-        f" max_edges={result.max_edges} ({result.status},"
-        f" nodes={result.stats.nodes}, prunes={result.stats.prunes})"
+        f" max_edges={result.max_edges} ({result.status}, nodes={stats.nodes}, prunes={stats.prunes})"
     )
-    _emit(args, "turan", params, result.to_json_obj(), started, summary, result.stats)
+    payload = {"status": result.status, "max_edges": result.max_edges, "extremal": serialize_hypergraph(result.extremal),
+               "stats": {"nodes": stats.nodes, "prunes": stats.prunes}}
+    _emit(args, "turan", params, payload, started, summary, stats)
     return EXIT_OK if result.status == STATUS_EXACT else EXIT_UNKNOWN
 
 
@@ -195,7 +200,12 @@ def cmd_cnf(args, started: float) -> int:
 
 def cmd_constants(args, started: float) -> int:
     report = verify_constant_inequalities(args.k, A=args.A, r_list=args.r_list or ())
-    payload = {"records": report.to_json_obj(), "all_hold": report.all_hold()}
+    payload = {}
+    if args.json:  # a summary needs no certificate; at large k their gcds cost far more than the catalog
+        payload = {"all_hold": report.all_hold(), "records": [
+            {"name": rec.name, "params": rec.params, "holds": "yes" if rec.holds else "no", "asymptotic_flag": rec.asymptotic,
+             "certificate_lo": (certificate := exact_text(rec.margin)), "certificate_hi": certificate}
+            for rec in report.records]}
     holding = sum(1 for rec in report.records if rec.holds)
     summary = f"constants k={args.k} A={args.A}: {holding}/{len(report.records)} inequalities hold"
     _emit(args, "constants", {"k": args.k, "A": args.A, "r_list": args.r_list or []}, payload, started, summary)
@@ -208,7 +218,7 @@ def cmd_bounds(args, started: float) -> int:
         f"bounds k={args.k} r={args.r}: lower={report.lower}"
         f" upper_kr={report.upper_kr} upper_250r={report.upper_250r}"
     )
-    _emit(args, "bounds", {"k": args.k, "r": args.r}, report.to_json_obj(), started, summary)
+    _emit(args, "bounds", {"k": args.k, "r": args.r}, report._asdict(), started, summary)
     return EXIT_OK
 
 

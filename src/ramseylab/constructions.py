@@ -78,15 +78,6 @@ class BoundsReport(NamedTuple):
     upper_250r: int
     caveats: tuple[str, ...] = ()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "lower": self.lower,
-            "upper_kr": self.upper_kr,
-            "upper_250r": self.upper_250r,
-            "caveats": list(self.caveats),
-        }
 
 def ramsey_bounds(k: int, r: int) -> BoundsReport:
     """Report the r+3k-3 lower bound and the kr / 250r upper bounds.

@@ -62,17 +62,6 @@ class IneqRecord(NamedTuple):
             return self.rhs - self.lhs
         return self.lhs - self.rhs
 
-    def to_json_obj(self) -> dict:
-        certificate = exact_text(self.margin)
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "holds": "yes" if self.holds else "no",
-            "certificate_lo": certificate,
-            "certificate_hi": certificate,
-            "asymptotic_flag": self.asymptotic,
-        }
-
 
 class IneqReport(NamedTuple):
     records: tuple[IneqRecord, ...] = ()
@@ -86,8 +75,6 @@ class IneqReport(NamedTuple):
     def all_hold(self) -> bool:
         return all(rec.holds for rec in self.records)
 
-    def to_json_obj(self) -> list[dict]:
-        return [rec.to_json_obj() for rec in self.records]
 
 _COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge}
 

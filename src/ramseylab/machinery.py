@@ -207,6 +207,8 @@ def derandomized_split(
         if ft in items:
             raise ValueError(f"set {ft} given twice")
         items[ft] = v
+    if items:  # `scaled` below holds about k²·log2(k) bits
+        check_index_guard(k * k, "(k² with a set given)")
 
     # ((k-1)/k)^(k-1) has about k·log2(k) bits; no item needs it.
     expectation = len(items) * Fraction(1, k) * Fraction(k - 1, k) ** (k - 1) if items else Fraction(0)

@@ -15,8 +15,8 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import check_index_guard
-from .hypergraphs import Hypergraph, serialize_hypergraph
-from .patterns import Coloring, find_loose_path, find_mono_loose_path, serialize_coloring
+from .hypergraphs import Hypergraph
+from .patterns import Coloring, find_loose_path, find_mono_loose_path
 
 PATTERN_LOOSE_PATH_3 = "loose-path-3"
 PATTERN_LOOSE_PATH_2 = "loose-path-2"
@@ -51,15 +51,6 @@ class SearchOutcome(NamedTuple):
     witness: Coloring | None
     stats: SearchStats
 
-    def to_json_obj(self) -> dict:
-        # Wall time is deliberately left out so identical runs serialize
-        # byte-identically; read it from stats.seconds instead.
-        return {
-            "verdict": self.verdict,
-            "witness": serialize_coloring(self.witness) if self.witness else None,
-            "stats": {"nodes": self.stats.nodes, "prunes": self.stats.prunes},
-        }
-
 
 class TuranResult(NamedTuple):
     """Largest pattern-free edge count found, with the extremal witness."""
@@ -68,14 +59,6 @@ class TuranResult(NamedTuple):
     max_edges: int
     extremal: Hypergraph
     stats: SearchStats
-
-    def to_json_obj(self) -> dict:
-        return {
-            "status": self.status,
-            "max_edges": self.max_edges,
-            "extremal": serialize_hypergraph(self.extremal),
-            "stats": {"nodes": self.stats.nodes, "prunes": self.stats.prunes},
-        }
 
 
 def _pattern_length(pattern: str) -> int:

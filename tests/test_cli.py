@@ -9,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ramseylab.cli import main
+from ramseylab.inequalities import IneqRecord
 from ramseylab import (
     Coloring,
     Hypergraph,
+    InstanceTooLargeError,
     derandomized_split,
     find_mono_loose_path,
     parse_coloring,
@@ -256,6 +258,19 @@ def test_constants_writes_certificates_past_the_digit_limit(capsys):
     assert [rec["certificate_lo"] for rec in records] == [rec["certificate_hi"] for rec in records] == expected
 
 
+def test_constants_summary_takes_no_margin(monkeypatch, capsys):
+    # Without --json only the count of holding inequalities is printed, so no
+    # certificate is written and no margin, whose gcds dominate large k, taken.
+    expected = run(capsys, "constants", "--k", "167", "--r-list", "1", "2", "3")
+
+    def refuse(self):
+        raise AssertionError("margin taken")
+
+    monkeypatch.setattr(IneqRecord, "margin", property(refuse))
+    assert run(capsys, "constants", "--k", "167", "--r-list", "1", "2", "3") == expected
+    assert expected == (0, "constants k=167 A=250: 9/10 inequalities hold\n", "")
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3", "--r", "5", "--json")
     assert code == 0
@@ -350,6 +365,21 @@ def test_machinery_split_cost_follows_its_input(tmp_path, capsys, n, k, code):
         assert json.loads(out)["payload"] == {"expectation": "0", "proper_count": 0, "u1": [], "u2": [0, 1, 2]}
     else:
         assert err.startswith("error: ") and "vertices" in err
+
+
+def test_machinery_split_refuses_quadratic_terms(tmp_path, capsys):
+    # With a set given the split's terms take about k²·log2(k) bits, so one
+    # 3999-set at k = 4000 (k² past INDEX_GUARD) is refused before them.
+    assignments = {tuple(range(3999)): 3999}
+    with pytest.raises(InstanceTooLargeError):
+        derandomized_split(assignments, 4000, 4000)
+    source = tmp_path / "s.json"
+    source.write_text(json.dumps({"n": 4000, "k": 4000, "assignments": [[list(f), v] for f, v in assignments.items()]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "machinery", "split", "--input", str(source), "--json")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (64, "") and "Traceback" not in err
+    assert err.startswith("error: ") and "index guard" in err
 
 
 def long_str(x):

@@ -1,3 +1,4 @@
+import json
 import time
 from math import comb
 
@@ -13,6 +14,7 @@ from ramseylab import (
     ramsey_bounds,
     star_clique_coloring,
 )
+from ramseylab.cli import main
 
 
 def test_star_clique_class_sizes_3_2():
@@ -107,8 +109,10 @@ def test_ramsey_bounds_values():
     assert any("upper_250r" in c and "lower exceeds" in c for c in report.caveats)
 
 
-def test_ramsey_bounds_always_caveated():
+def test_ramsey_bounds_always_caveated(capsys):
     report = ramsey_bounds(4, 100)
     assert len(report.caveats) >= 2
-    obj = report.to_json_obj()
+    assert main(["bounds", "--k", "4", "--r", "100", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)["payload"]
     assert set(obj) == {"k", "r", "lower", "upper_kr", "upper_250r", "caveats"}
+    assert obj["caveats"] == list(report.caveats)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ramseylab import verify_constant_inequalities
+from ramseylab.cli import main
 from ramseylab.inequalities import exact_text
 
 
@@ -68,9 +69,10 @@ def test_margin_orientation():
             assert rec.margin <= 0
 
 
-def test_json_schema():
-    report = verify_constant_inequalities(167, A=250, r_list=[2])
-    objs = json.loads(json.dumps(report.to_json_obj(), sort_keys=True))
+def test_json_schema(capsys):
+    assert main(["constants", "--k", "167", "--A", "250", "--r-list", "2", "--json"]) == 0
+    objs = json.loads(capsys.readouterr().out)["payload"]["records"]
+    assert len(objs) == len(verify_constant_inequalities(167, A=250, r_list=[2]).records)
     assert all(
         set(o) == {"name", "params", "holds", "certificate_lo", "certificate_hi", "asymptotic_flag"}
         for o in objs

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import operator
 import time
 import tracemalloc
@@ -28,10 +29,11 @@ from ramseylab import (
     serialize_hypergraph,
     turan_max_edges,
 )
-from ramseylab import cnf, errors, search
+from ramseylab import cli, cnf, errors, search
 from ramseylab.search import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_UNKNOWN
 from conftest import oracle_has_loose_path
 from test_acceptance import ORACLE_INSTANCES
+from test_result_types import untimed
 
 
 def oracle_count_paths(n, k, length):
@@ -859,8 +861,9 @@ def tree_of(result):
 @pytest.mark.parametrize("engine, a, b, c, budget, tree", ENGINE_GOLDEN_ROWS)
 def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree):
     # Both engines fold from edge bitsets; with the copy walk of `cnf` refused they
-    # still visit the pinned tree, and their payloads (witness or extremal
-    # included) match a run on a memo of the index-derived closing rows.
+    # still visit the pinned tree, and their results (witness or extremal
+    # included), wall times aside, match a run on a memo of the index-derived
+    # closing rows.
     def refuse(*args):
         raise AssertionError("copies walked")
 
@@ -872,7 +875,7 @@ def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree)
     assert tree_of(result) == tree
     monkeypatch.setattr(search, "_tables", reference_tables)
     expected = call()
-    assert result.to_json_obj() == expected.to_json_obj()
+    assert untimed(result) == untimed(expected)
     assert tree_of(expected) == tree
 
 
@@ -880,11 +883,11 @@ def test_engines_build_no_copy_index(monkeypatch, engine, a, b, c, budget, tree)
 def test_memo_bound_changes_no_tree(monkeypatch, engine, a, b, c, budget, tree):
     # With the bound at 3 entries, every fourth miss clears the run's memo:
     # the entries are refolded, never different, so the tree and the
-    # payload stay as they are, and the memo keeps at most 3 entries.
+    # result stay as they are, and the memo keeps at most 3 entries.
     def call():
         return getattr(search, engine)(a, b, c, budget=budget)
 
-    expected = call().to_json_obj()
+    expected = untimed(call())
     runs = []
 
     def tables(*args):
@@ -896,7 +899,7 @@ def test_memo_bound_changes_no_tree(monkeypatch, engine, a, b, c, budget, tree):
     monkeypatch.setattr(search, "_tables", tables)
     result = call()
     assert tree_of(result) == tree
-    assert result.to_json_obj() == expected
+    assert untimed(result) == expected
     (_, _, memo, _), = runs
     assert 0 < len(memo) <= 3
 
@@ -1503,11 +1506,13 @@ def test_cnf_witness_projection():
         )
 
 
-def test_stats_are_populated():
+def test_stats_are_populated(capsys):
     outcome = decide_ramsey(2, 2, 5)
     assert outcome.stats.nodes > 0 and outcome.stats.seconds >= 0
-    obj = outcome.to_json_obj()
+    assert cli.main(["ramsey", "--k", "2", "--r", "2", "--n", "5", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)["payload"]
     assert set(obj) == {"verdict", "witness", "stats"}
+    assert obj["stats"] == {"nodes": outcome.stats.nodes, "prunes": outcome.stats.prunes}
 
 
 @pytest.mark.parametrize(

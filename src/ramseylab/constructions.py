@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .errors import check_index_guard
@@ -85,6 +86,7 @@ def ramsey_bounds(k: int, r: int) -> BoundsReport:
     The upper bounds hold only for r above thresholds that are not known
     explicitly, so they are reported with caveats rather than suppressed.
     """
+    k, r = index(k), index(r)
     if k < 3:
         raise ValueError(f"uniformity must be at least 3, got {k}")
     if r < 1:

@@ -79,8 +79,6 @@ def nth_root_interval(q: RationalLike, m: int, precision: RationalLike) -> Inter
         raise ValueError(f"root index must be at least 1, got {m}")
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    if m == 1:
-        return Interval(q, q)
     root_num, exact_num = integer_nth_root(q.numerator, m)
     root_den, exact_den = integer_nth_root(q.denominator, m)
     if exact_num and exact_den:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -31,6 +32,7 @@ class Hypergraph:
     __slots__ = ("k", "n", "_edges", "_edge_set", "_incidence")
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]] = ()):
+        k, n = index(k), index(n)  # True is 1; a float, Fraction or str raises TypeError
         if k < 1:
             raise ValueError(f"uniformity must be at least 1, got {k}")
         if n < 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -141,7 +142,7 @@ def prune_bipartite(b: BipartiteGraph) -> BipartiteGraph:
     """
     if not b.edges:
         raise ValueError("pruning needs at least one edge")
-    floor = {v: Fraction(len(b.edges), 2 * len(side)) for side in (b.left, b.right) for v in side}
+    floor = {v: Fraction(len(b.edges), 2 * len(part)) for part in (b.left, b.right) for v in part}
     edges = _peel(list(b.edges), b.left + b.right, lambda v, d: d < floor[v])
     if not edges:
         raise RuntimeError("bipartite prune emptied the graph; the counting bound rules this out")
@@ -190,7 +191,7 @@ def derandomized_split(
     can never drop below the initial expectation.  Items not touching v add
     the same term to both sides, so only the items touching v are summed and
     a vertex no item touches goes to U2 on the tie.  Each item keeps the
-    counts of its undecided and its U1 vertices, so a term is one lookup.
+    count of its undecided vertices and a liveness flag: a term is one lookup.
     """
     if k < 2:
         raise ValueError(f"uniformity must be at least 2, got {k}")
@@ -218,11 +219,9 @@ def derandomized_split(
     while 0 < len(scaled) < k:
         scaled.append(scaled[-1] * (k - 1) // k)
 
-    U1, U2 = 1, 2
-    side: list[int | None] = [None] * n
     apex = list(items.values())
     undecided = [k - 1] * len(apex)  # per item, the vertices of its set not yet placed
-    in_u1 = [0] * len(apex)  # per item, the vertices of its set placed in U1
+    alive = [True] * len(apex)  # per item, false once a set vertex is in U1 or the apex in U2
     holding: dict[int, list[int]] = {}  # vertex -> the items whose set holds it
     apex_of: dict[int, list[int]] = {}  # vertex -> the items it is the apex of
     for i, (f, v) in enumerate(items.items()):
@@ -230,24 +229,22 @@ def derandomized_split(
         for u in f:
             holding.setdefault(u, []).append(i)
 
-    for v in range(n):
-        side[v] = U2
-        if v in holding or v in apex_of:
-            # In U2, v keeps the terms of the sets holding it, one vertex fewer
-            # undecided, and zeroes those it is the apex of; in U1, the reverse.
-            sets, apexes = holding.get(v, ()), apex_of.get(v, ())
-            gain_u2 = sum(scaled[undecided[i] - 1] * (1 if side[apex[i]] is None else k)
-                          for i in sets if side[apex[i]] != U2 and not in_u1[i])
-            gain_u1 = sum(k * scaled[undecided[i]] for i in apexes if not in_u1[i])
-            side[v] = U1 if gain_u1 > gain_u2 else U2
-            for i in sets:
-                undecided[i] -= 1
-                in_u1[i] += side[v] == U1
+    u1: list[int] = []
+    for v in sorted(holding.keys() | apex_of.keys()):
+        # In U2, v keeps the terms of the sets holding it, one vertex fewer undecided, and
+        # zeroes those it is the apex of; in U1, the reverse.  An alive apex below v is in U1.
+        sets, apexes = holding.get(v, ()), apex_of.get(v, ())
+        gain_u2 = sum(scaled[undecided[i] - 1] * (k if apex[i] < v else 1) for i in sets if alive[i])
+        gain_u1 = sum(k * scaled[undecided[i]] for i in apexes if alive[i])
+        if gain_u1 > gain_u2:
+            u1.append(v)
+        for i in sets if gain_u1 > gain_u2 else apexes:  # the items v's side kills
+            alive[i] = False
+        for i in sets:
+            undecided[i] -= 1
 
-    u1 = tuple(v for v in range(n) if side[v] == U1)
-    u2 = tuple(v for v in range(n) if side[v] == U2)
-    proper = sum(1 for v, ones in zip(apex, in_u1) if side[v] == U1 and not ones)
-    return SplitAssignment(u1, u2, proper, expectation)
+    u2 = tuple(chain.from_iterable(range(a + 1, b) for a, b in zip([-1, *u1], [*u1, n])))
+    return SplitAssignment(tuple(u1), u2, sum(alive), expectation)
 
 
 def stability_deficiency(h: Hypergraph) -> StabilityReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -57,11 +58,13 @@ def find_loose_path(h: Hypergraph, length: int) -> LoosePathWitness | None:
         return None
     inc = h.incidence()
     if length == 3:
-        comp = {v: {v} for v in inc}  # connected components, merged per edge
+        comp = {v: {v} for v in inc}  # connected components; per edge, the smaller join the largest
         for e in edges:
-            if any(comp[v] is not comp[e[0]] for v in e):
-                merged = set().union(*(comp[v] for v in e))
-                comp.update(dict.fromkeys(merged, merged))
+            big = max(map(comp.get, e), key=len)
+            for part in map(comp.get, e):  # read lazily, so a part already merged is `big`
+                if part is not big:
+                    big |= part
+                    comp.update(dict.fromkeys(part, big))
         if max(map(len, comp.values())) < 3 * h.k - 2:
             return None
 
@@ -115,6 +118,7 @@ class Coloring:
     __slots__ = ("k", "n", "r", "colors")
 
     def __init__(self, k: int, n: int, r: int, assignment: Mapping[Sequence[int], int]):
+        k, n, r = index(k), index(n), index(r)
         if k < 2:
             raise ValueError(f"uniformity must be at least 2, got {k}")
         if n < 0:

@@ -516,6 +516,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "ramsey", "--k", "2")[0] == 64
     assert run(capsys, "construct", "star-clique", "--k", "3", "-o", "/tmp/x")[0] == 64
+    assert run(capsys, "construct", "full-star", "--k", "3", "-o", "/tmp/x")[0] == 64  # no --n
     assert run(capsys, "detect", "--input", "/nonexistent", "--pattern", "star")[0] == 64
 
 

@@ -56,6 +56,14 @@ def test_star_clique_invalid():
         star_clique_coloring(2, 2)
     with pytest.raises(ValueError):
         star_clique_coloring(3, 0)
+    # The closed-form bounds refuse the same k and r, and a size that is not an int.
+    with pytest.raises(ValueError, match="uniformity must be at least 3"):
+        ramsey_bounds(2, 2)
+    with pytest.raises(ValueError, match="color count must be at least 1"):
+        ramsey_bounds(3, 0)
+    for k, r in [(3.5, 2), (3, 2.0), ("3", 2)]:
+        with pytest.raises(TypeError):
+            ramsey_bounds(k, r)
 
 
 @pytest.mark.parametrize(

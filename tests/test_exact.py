@@ -28,6 +28,13 @@ def test_integer_nth_root():
         integer_nth_root(-1, 2)
     with pytest.raises(ValueError):
         integer_nth_root(4, 0)
+    with pytest.raises(ValueError, match="radicand"):
+        nth_root_interval(Fraction(-1, 2), 2, PRECISION)
+    with pytest.raises(ValueError, match="root index"):
+        nth_root_interval(2, 0, PRECISION)
+    for precision in (0, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="precision"):
+            nth_root_interval(2, 2, precision)
 
 
 def test_interval_ordering():
@@ -58,6 +65,9 @@ def test_nth_root_nesting():
 def test_star_deficiency_exact_at_top():
     # b = k-1 makes the radicand 1, so the coefficient vanishes exactly
     assert star_deficiency_bound(4, 5, 9, PRECISION) == Interval(Fraction(0), Fraction(0))
+    # and a zero scale, C(2, 4) or n - 1 = 0, vanishes before any root is taken
+    assert star_deficiency_bound(Fraction(1, 2), 5, 3, PRECISION) == Interval(Fraction(0), Fraction(0))
+    assert link_support_lower_bound(1, 4, 1, PRECISION) == Interval(Fraction(0), Fraction(0))
 
 
 def test_star_deficiency_linear_root_case():
@@ -83,6 +93,9 @@ def test_star_deficiency_invalid():
         star_deficiency_bound(1, 2, 9, PRECISION)
     with pytest.raises(ValueError):
         star_deficiency_bound(1, 4, 9, 0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="vertex count must be at least 1"):
+            star_deficiency_bound(1, 4, n, PRECISION)
 
 
 def test_link_support_exact_cases():

@@ -1,13 +1,19 @@
 import itertools
+from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 import pytest
 
 from ramseylab import (
+    Coloring,
     Hypergraph,
     ParseError,
     complete_hypergraph,
+    parse_coloring,
     parse_hypergraph,
+    serialize_coloring,
     serialize_hypergraph,
 )
 from conftest import random_hypergraph
@@ -23,6 +29,27 @@ def test_complete_invalid_parameters():
         complete_hypergraph(3, 4)  # k > n
     with pytest.raises(ValueError):
         complete_hypergraph(5, 1)
+    with pytest.raises(ValueError, match="uniformity must be at least 1"):
+        Hypergraph(0, 4)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Hypergraph(2, -1)
+    # A size that is not an int would be serialized as text the parser refuses.
+    for k, n in [(2.0, 4), (2, 4.0), (Fraction(2), 4), ("2", 4)]:
+        with pytest.raises(TypeError):
+            Hypergraph(k, n, [(0, 1)])
+
+
+def test_int_like_sizes_round_trip():
+    # True and numpy ints are stored as the ints they stand for, so the text
+    # form reads `1 4 1`, not `True 4 1`, and parses back to an equal object.
+    h = Hypergraph(True, np.int64(4), [(0,)])
+    assert (type(h.k), type(h.n)) == (int, int)
+    assert serialize_hypergraph(h) == "1 4 1\n0\n"
+    assert parse_hypergraph(serialize_hypergraph(h)) == h
+    coloring = Coloring(np.int64(2), 3, True, {e: 1 for e in itertools.combinations(range(3), 2)})
+    assert (type(coloring.k), type(coloring.r)) == (int, int)
+    assert serialize_coloring(coloring).splitlines()[0] == "2 3 3 1"
+    assert parse_coloring(serialize_coloring(coloring)) == coloring
 
 
 def test_edges_canonical_order():

@@ -84,6 +84,8 @@ def test_json_schema(capsys):
 
 
 def test_invalid_parameters():
+    with pytest.raises(KeyError, match="no record named 'no_such_record'"):
+        verify_constant_inequalities(167).record("no_such_record")
     with pytest.raises(ValueError):
         verify_constant_inequalities(2)
     with pytest.raises(ValueError):

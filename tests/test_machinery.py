@@ -68,6 +68,8 @@ def test_peel_rejects_1_graphs():
     # remove them all; the charging argument needs k >= 2.
     with pytest.raises(ValueError, match="k >= 2"):
         peel_min_degree(Hypergraph(1, 2, [(0,), (1,)]))
+    with pytest.raises(ValueError, match="uniformity must be at least 2"):
+        stability_deficiency(Hypergraph(1, 2, [(0,), (1,)]))
     with pytest.raises(ValueError, match="k >= 2"):
         peel_min_degree(Hypergraph(1, 3, [(0,)]))
 
@@ -388,6 +390,11 @@ def test_split_memory_follows_touched_vertices():
 def test_split_rejects_apex_inside_set():
     with pytest.raises(ValueError):
         derandomized_split({(0, 1): 1}, 4, 3)
+    for apex in (-1, 4):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            derandomized_split({(0, 1): apex}, 4, 3)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        derandomized_split({}, -1, 3)
 
 
 def test_split_rejects_a_set_given_twice():

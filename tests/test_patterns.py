@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -126,6 +127,15 @@ def test_component_exit_against_oracle(rng):
             assert witness.verify(h) and witness.edges == first_loose_path(h)
 
 
+def test_component_exit_is_near_linear():
+    # Merging each edge's smaller components into its largest keeps a long
+    # connected host cheap; rebuilding the union per edge took about 8 s here.
+    h = Hypergraph(2, 20000, [(i, i + 1) for i in range(19999)])
+    start = time.perf_counter()
+    assert find_loose_path(h, 3).edges == ((0, 1), (1, 2), (2, 3))
+    assert time.perf_counter() - start < 1.0
+
+
 def two_loop_find_loose_path(h, length):
     """`find_loose_path` with one partner loop per length, kept as a reference for its witnesses."""
     edges = h.edges
@@ -213,6 +223,12 @@ def test_witness_verify_rejects_foreign_edges():
     w = find_loose_path(host, 3)
     smaller = Hypergraph(3, 7, [(0, 1, 2)])
     assert not w.verify(smaller)
+    # Edges of the host in the wrong pattern: a wrong length or link count,
+    # a link that is not the shared vertex, and end edges that meet.
+    assert not LoosePathWitness(w.edges[:1], ()).verify(host)
+    assert not LoosePathWitness(w.edges, w.links[:1]).verify(host)
+    assert not LoosePathWitness(w.edges, (1, 3)).verify(host)
+    assert not LoosePathWitness(((0, 1, 2), (0, 3, 4), (1, 3, 5)), (0, 3)).verify(host)
 
 
 def test_is_star_examples():
@@ -267,6 +283,18 @@ def test_coloring_validation():
         Coloring(2, 4, 2, {e: 1 for e in edges[:-1]})  # not total
     with pytest.raises(ValueError):
         Coloring(2, 4, 2, {e: 3 for e in edges})  # color out of range
+    with pytest.raises(ValueError, match="colored twice"):
+        Coloring(2, 4, 2, {**{e: 1 for e in edges}, (1, 0): 2})
+    for k, n, r, message in [(1, 4, 2, "uniformity"), (2, -1, 2, "vertex count"), (2, 4, 0, "color count")]:
+        with pytest.raises(ValueError, match=message):
+            Coloring(k, n, r, {})
+    for k, n, r in [(2.0, 4, 2), (2, 4.0, 2), (2, 4, 2.0), (2, 4, Fraction(2))]:
+        with pytest.raises(TypeError):
+            Coloring(k, n, r, {e: 1 for e in edges})
+    coloring = Coloring(2, 4, 2, {e: 1 for e in edges})
+    for color in (0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            coloring.color_class(color)
 
 
 def test_coloring_refuses_non_integer_colors():

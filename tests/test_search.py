@@ -1325,6 +1325,19 @@ def test_decide_validates_parameters():
         decide_ramsey(2, 0, 4)
     with pytest.raises(ValueError):
         decide_ramsey(3, 2, 2)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        decide_ramsey(2, 2, 4, budget=-1)
+    # The exhaustive oracle and the CNF export refuse the same k, r and n,
+    # and the copy list a size or a length it has no pattern for.
+    for call in (exhaustive_decide, export_cnf):
+        for k, r, n in [(1, 2, 4), (2, 0, 4), (3, 2, 2)]:
+            with pytest.raises(ValueError, match="need k >= 2, r >= 1, n >= k"):
+                call(k, r, n)
+    for n, k in [(0, 2), (5, 1)]:
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
+            enumerate_loose_paths(n, k, 3)
+    with pytest.raises(ValueError, match="length must be 2 or 3"):
+        enumerate_loose_paths(5, 2, 4)
 
 
 def test_turan_trivial_regimes():
@@ -1368,6 +1381,12 @@ def test_turan_matching_for_pairs_in_graphs():
 def test_turan_rejects_unknown_pattern():
     with pytest.raises(ValueError):
         turan_max_edges(2, 4, "loose-cycle-3")
+    # and, for a known pattern, a bad k or n or a negative budget
+    for k, n in [(1, 4), (3, 2)]:
+        with pytest.raises(ValueError, match="need k >= 2 and n >= k"):
+            turan_max_edges(k, n, "loose-path-3")
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        turan_max_edges(2, 4, "loose-path-3", budget=-1)
 
 
 def test_cnf_counts():
